@@ -16,7 +16,7 @@ Instances are immutable; all functions here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     ResiduationViolation,
     SizeLimitExceeded,
     TableShapeError,
+    ValidationError,
 )
 
 KIND_RL = "residuated-lattice"
@@ -117,6 +118,7 @@ class _FiniteLattice:
         self.names = names
         # a <= b iff a v b = b
         self.leq = _freeze(join == np.arange(self.n)[None, :])
+        self._derived = {}  # see per_host()
 
     # -- order structure -------------------------------------------------
 
@@ -272,6 +274,33 @@ def validate_rl(join, meet, mul, imp, bot, top, names=None):
             "a <= imp(b, c) iff mul(a, b) <= c fails", _witness(bad)
         )
     return FiniteResiduatedLattice(join, meet, mul, imp, bot, top, _names_tuple(names, n))
+
+
+def require_host(x):
+    '''Raise ValidationError unless ``x`` is a validated host.'''
+    if not isinstance(x, _FiniteLattice):
+        raise ValidationError(
+            f"expected a validated host, got {type(x).__name__} "
+            "(a document returned by retic.io.load holds its host in .algebra)")
+
+
+def per_host(build):
+    """Decorate ``build(host)`` to run once per host instance.
+
+    Hosts are immutable, so a derived result stays valid for the host's
+    lifetime.  It is kept on the instance, not in a module-level table
+    keyed by the host, so a result that refers back to its host (a filter
+    lattice, a reticulation) is collected together with it.
+    """
+    @wraps(build)
+    def get(host):
+        require_host(host)
+        got = host._derived.get(get)
+        if got is None:
+            got = host._derived[get] = build(host)
+        return got
+
+    return get
 
 
 # -- pointwise helpers ----------------------------------------------------
@@ -445,6 +474,8 @@ def check_morphism(m):
 
 def morphism(source, target, mapping, kind=None):
     """Build a morphism and certify it, raising OperationNotPreserved if bad."""
+    require_host(source)
+    require_host(target)
     kind = kind or (KIND_RL if source.kind == target.kind == KIND_RL else KIND_BDL)
     m = AlgebraMorphism(source, target, mapping, kind)
     report = check_morphism(m)
@@ -508,6 +539,8 @@ def find_isomorphism(x, y, kind=None, limit=ISO_SEARCH_LIMIT):
 
     Raises SizeLimitExceeded when the carrier exceeds ``limit``.
     """
+    require_host(x)
+    require_host(y)
     kind = kind or (KIND_RL if x.kind == y.kind == KIND_RL else KIND_BDL)
     if x.n != y.n:
         return None

@@ -2,26 +2,27 @@
 
 A filter is a nonempty upward-closed subset closed under the host's
 semigroup operation (monoid product for residuated hosts, meet for lattice
-hosts).  In a finite host every filter is principal: it is generated by the
-product of its members, whose powers stabilize.  ``all_filters`` exploits
-this; ``filters_subset_scan`` ignores it and tests every subset, serving as
-the correctness oracle at small sizes.
+hosts).  In a finite host every filter is principal: it is the up-set ↑e of
+the stable power e of the product of its members, and e is idempotent.  So
+the filters are exactly the ↑e for e in E = {e : e·e = e}, and on E
+↑e ∩ ↑f = ↑(e ∨ f) and ↑e ∨ ↑f = ↑(e·f).  ``idempotent_core`` computes E
+and the stable powers once per host; ``all_filters``, the filter-lattice
+tables, ``generated_filter``, ``principal_filter`` and ``filter_join`` are
+lookups into it.  ``filters_subset_scan`` ignores all this and tests every
+subset, serving as the correctness oracle at small sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .core import KIND_RL, morphism, validate_bdl, validate_rl
+from .core import KIND_RL, _freeze, morphism, per_host, validate_bdl, validate_rl
 from .errors import NotClosed, SizeLimitExceeded
 
 SUBSET_SCAN_LIMIT = 20
-
-_ALL_FILTERS_CACHE = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,13 @@ class Filter:
         return "{" + ",".join(self.labels()) + "}"
 
 
-def _upward_closure(host, items):
-    mask = np.zeros(host.n, dtype=bool)
-    idx = list(items)
-    if idx:
-        mask = host.leq[idx].any(axis=0)
-    return mask
-
-
 def is_filter(host, subset):
     """Membership test per the defining closure conditions."""
     s = frozenset(int(a) for a in subset)
     if not s:
         return False
     idx = sorted(s)
-    up = _upward_closure(host, idx)
-    if set(np.flatnonzero(up).tolist()) != s:
+    if set(np.flatnonzero(host.leq[idx].any(axis=0)).tolist()) != s:
         return False
     t = host.semigroup
     return all(int(t[a, b]) in s for a in idx for b in idx)
@@ -85,49 +77,69 @@ def as_filter(host, subset):
     return Filter(host, s)
 
 
-def generated_filter(host, subset):
-    """Least filter containing ``subset``.
+def _filter_sort_key(members):
+    return (len(members), tuple(sorted(members)))
 
-    Closure iteration: adjoin all pairwise semigroup products, then close
-    upward, and repeat until nothing changes.  The empty set generates the
-    trivial filter {top}.
+
+@dataclass(frozen=True, eq=False)
+class IdempotentCore:
+    """The idempotents of a host, from which every filter is read.
+
+    ``filters[i]`` is ↑ ``idempotents[i]``, in ``(len, sorted members)``
+    order; ``index[a]`` is the index of ↑ ``stable[a]``, the principal filter
+    of a, and for an idempotent e simply the index of ↑e.
     """
+
+    stable: np.ndarray       # element -> its stable power
+    idempotents: np.ndarray  # filter index -> least member
+    index: np.ndarray        # element -> filter index of its principal filter
+    filters: tuple           # of Filter
+
+
+@per_host
+def idempotent_core(host):
+    """The IdempotentCore of a validated host, cached on the instance."""
     t = host.semigroup
-    current = frozenset(int(a) for a in subset) | {host.top}
+    stable = np.arange(host.n)
+    # a, a², a⁴, ... decreases (a·b ≤ a in a validated host) and stops at
+    # the stable power; the idempotents are the elements it leaves fixed
     while True:
-        idx = sorted(current)
-        prods = {int(t[a, b]) for a in idx for b in idx}
-        nxt = frozenset(np.flatnonzero(_upward_closure(host, current | prods)).tolist())
-        if nxt == current:
-            return Filter(host, current)
-        current = nxt
+        sq = t[stable, stable]
+        if (sq == stable).all():
+            break
+        stable = sq
+    members = {int(e): host.upset(e) for e in np.flatnonzero(stable == np.arange(host.n))}
+    idem = np.array(sorted(members, key=lambda e: _filter_sort_key(members[e])),
+                    dtype=np.int64)
+    index = np.zeros(host.n, dtype=np.int64)
+    index[idem] = np.arange(len(idem))
+    return IdempotentCore(_freeze(stable), _freeze(idem), _freeze(index[stable]),
+                          tuple(Filter(host, members[int(e)]) for e in idem))
+
+
+def generated_filter(host, subset):
+    """Least filter containing ``subset``: ↑ of the stable power of the
+    product of its members.  The empty set generates the trivial filter
+    {top}."""
+    t = host.semigroup
+    p = reduce(lambda x, a: int(t[x, int(a)]), subset, host.top)
+    core = idempotent_core(host)
+    return core.filters[core.index[p]]
 
 
 def stable_power(host, a):
     """The stabilized power of ``a`` under the semigroup operation.
 
-    Powers are iterated until a repeat occurs; among the cycle the
-    order-least value is returned.  For validated hosts the power sequence
-    is decreasing, so the cycle is a single fixpoint.
+    For validated hosts the power sequence is decreasing, so it ends in a
+    fixpoint, the least power of ``a``.
     """
-    t = host.semigroup
-    seen = [int(a)]
-    p = int(a)
-    while True:
-        p = int(t[p, a])
-        if p in seen:
-            cycle = seen[seen.index(p):]
-            for c in cycle:
-                if all(host.leq[c, d] for d in cycle):
-                    return c
-            raise AssertionError("power cycle has no least element")
-        seen.append(p)
+    return int(idempotent_core(host).stable[a])
 
 
 def principal_filter(host, a):
     '''All b reachable as aⁿ ≤ b for some n ≥ 1.'''
-    s = stable_power(host, a)
-    return Filter(host, host.upset(s))
+    core = idempotent_core(host)
+    return core.filters[core.index[a]]
 
 
 @dataclass(eq=False)
@@ -156,59 +168,21 @@ class FilterLattice:
         return len(self.filters)
 
 
-def _filter_sort_key(members):
-    return (len(members), tuple(sorted(members)))
-
-
+@per_host
 def all_filters(host):
-    """Enumerate every filter and build the filter lattice.
+    """Every filter, ↑e for each idempotent e, and the filter lattice.
 
-    Generation starts from the principal filters and closes under pairwise
-    intersection and join.  In a finite host this reaches every filter,
-    because each filter equals the principal filter of the product of its
-    members; the subset-scan oracle re-checks this on small instances.
-
-    Results are cached per host instance (hosts are immutable).
+    Meet is ↑(e ∨ f) and join is ↑(e·f), read off the idempotent core; the
+    lattice is validated like any other.  Cached on the host instance.
     """
-    got = _ALL_FILTERS_CACHE.get(host)
-    if got is not None:
-        return got
-    found = {principal_filter(host, a).members for a in range(host.n)}
-    while True:
-        fresh = set()
-        pool = sorted(found, key=_filter_sort_key)
-        for i, f in enumerate(pool):
-            for g in pool[i + 1:]:
-                both = f & g
-                if both not in found:
-                    fresh.add(both)
-                join = generated_filter(host, f | g).members
-                if join not in found:
-                    fresh.add(join)
-        if not fresh:
-            break
-        found |= fresh
-    ordered = sorted(found, key=_filter_sort_key)
-    built = _build_filter_lattice(host, ordered)
-    _ALL_FILTERS_CACHE[host] = built
-    return built
-
-
-def _build_filter_lattice(host, ordered):
-    index = {f: i for i, f in enumerate(ordered)}
-    k = len(ordered)
-    join = np.zeros((k, k), dtype=np.int64)
-    meet = np.zeros((k, k), dtype=np.int64)
-    for i, f in enumerate(ordered):
-        for j, g in enumerate(ordered):
-            meet[i, j] = index[f & g]
-            join[i, j] = index[generated_filter(host, f | g).members]
-    names = ["{" + ",".join(host.names[a] for a in sorted(f)) + "}" for f in ordered]
+    core = idempotent_core(host)
+    e = core.idempotents
+    join = core.index[host.semigroup[np.ix_(e, e)]]
+    meet = core.index[host.join[np.ix_(e, e)]]
     lattice = validate_bdl(join, meet,
-                           bot=index[frozenset({host.top})],
-                           top=index[frozenset(range(host.n))],
-                           names=names)
-    return FilterLattice(host, tuple(Filter(host, f) for f in ordered), lattice)
+                           bot=core.index[host.top], top=core.index[host.bot],
+                           names=[repr(f) for f in core.filters])
+    return FilterLattice(host, core.filters, lattice)
 
 
 def filters_subset_scan(host, limit=SUBSET_SCAN_LIMIT):

@@ -15,24 +15,20 @@ index generating that filter.  Labels are rendered as "<x>".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .core import KIND_BDL, find_isomorphism, invert, morphism, validate_bdl
+from .core import KIND_BDL, find_isomorphism, invert, morphism, per_host, validate_bdl
 from .errors import OperationNotPreserved
 from .filters import (
     Filter,
     all_filters,
     as_filter,
+    idempotent_core,
     principal_filter,
     quotient_lattice,
     quotient_rl,
-    stable_power,
 )
-
-
-_RETICULATE_CACHE = WeakKeyDictionary()
 
 
 @dataclass(eq=False)
@@ -55,34 +51,27 @@ class Reticulation:
         return as_filter(self.lattice, self.image_of_subset(f.members))
 
 
+@per_host
 def reticulate(host):
     """Build the reticulation of a validated residuated host.
 
-    Cached per host instance (hosts are immutable).
+    The classes are the principal filters, one per idempotent, numbered in
+    the order of their least representatives.  Cached on the host instance.
     """
-    got = _RETICULATE_CACHE.get(host)
-    if got is not None:
-        return got
-    pf = [principal_filter(host, a).members for a in range(host.n)]
-    reps = []
-    classes = {}
-    lam = np.zeros(host.n, dtype=np.int64)
-    for a in range(host.n):
-        if pf[a] not in classes:
-            classes[pf[a]] = len(reps)
-            reps.append(a)
-        lam[a] = classes[pf[a]]
-    k = len(reps)
-    rep = np.array(reps, dtype=np.int64)
+    core = idempotent_core(host)
+    pf = core.index  # element -> its principal filter
+    rep = np.sort(np.unique(pf, return_index=True)[1])
+    cls = np.zeros(len(core.filters), dtype=np.int64)
+    cls[pf[rep]] = np.arange(len(rep))
+    lam = cls[pf]
     join = lam[host.join[np.ix_(rep, rep)]]
     meet = lam[host.mul[np.ix_(rep, rep)]]
+    reps = tuple(int(r) for r in rep)
     lattice = validate_bdl(join, meet,
                            bot=int(lam[host.bot]), top=int(lam[host.top]),
                            names=[f"<{host.names[r]}>" for r in reps])
-    built = Reticulation(host, lattice, lam, tuple(reps),
-                         tuple(pf[r] for r in reps))
-    _RETICULATE_CACHE[host] = built
-    return built
+    return Reticulation(host, lattice, lam, reps,
+                        tuple(core.filters[pf[r]].members for r in reps))
 
 
 # -- axiom checking -------------------------------------------------------
@@ -136,7 +125,7 @@ def reticulation_conditions(source, lattice, lam):
     missing = set(range(lattice.n)) - set(lam.tolist())
     checks["surjective"] = (not missing, tuple(sorted(missing)) or None)
 
-    stab = np.array([stable_power(source, a) for a in range(source.n)], dtype=np.int64)
+    stab = idempotent_core(source).stable
     bad = LL[lam[:, None], lam[None, :]] != source.leq[stab][:, :]
     checks["order_reflects_stable_powers"] = (not bad.any(), _first_bad(bad))
 
@@ -163,7 +152,7 @@ def check_axioms(host, retic):
     lam, lattice = retic.lam, retic.lattice
     checks = dict(reticulation_conditions(host, lattice, lam))
 
-    stab = np.array([stable_power(host, a) for a in range(host.n)], dtype=np.int64)
+    stab = idempotent_core(host).stable
     bad = (lam == lattice.top) != (np.arange(host.n) == host.top)
     only_top = (not bad.any(), _first_bad(bad))
     bad = (lam == lattice.bot) != (stab == host.bot)

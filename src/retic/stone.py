@@ -5,8 +5,10 @@ every member of X is top.  It is always a filter, X ranges over arbitrary
 subsets, and X^T = intersection of the singleton co-annihilators of its
 members; on a finite host the family of all co-annihilators is therefore
 the intersection closure of the singleton ones plus the full carrier.
-That closure is the default (exact) computation route; the brute-force
-subset scan survives as a guarded oracle.
+Each co-annihilator is a principal filter ↑g, so that closure, and the
+m-Stone clauses built on it, run on the least elements g.  This is the
+default (exact) computation route; the brute-force subset scan survives as
+a guarded oracle.
 
 A host is Stone when every singleton co-annihilator is the principal
 filter of a complemented element, strongly Stone when every co-annihilator
@@ -18,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .core import boolean_center, pseudocomplement_or_raise, validate_bdl
+from .core import boolean_center, per_host, pseudocomplement_or_raise, validate_bdl
 from .errors import (
     InvalidSystem,
     LatticeLawViolation,
@@ -33,7 +34,7 @@ from .filters import (
     Filter,
     _filter_sort_key,
     all_filters,
-    filter_join,
+    idempotent_core,
     principal_filter,
 )
 from .reticulation import reticulate
@@ -41,8 +42,6 @@ from .reticulation import reticulate
 COANN_SCAN_LIMIT = 16
 STRONG_SCAN_LIMIT = 20
 TRANSFER_SCAN_LIMIT = 12
-
-_COANN_CACHE = WeakKeyDictionary()
 
 
 def co_annihilator(host, subset):
@@ -55,6 +54,18 @@ def co_annihilator(host, subset):
         return Filter(host, frozenset(range(host.n)))
     mask = (host.join[:, idx] == host.top).all(axis=1)
     return Filter(host, frozenset(np.flatnonzero(mask).tolist()))
+
+
+@per_host
+def _coann_generators(host):
+    """gen[a], the least element of the co-annihilator of {a}.
+
+    That co-annihilator is a filter, so it is ↑gen[a], and gen[a] is the
+    member with the largest up-set.  For a filter ↑g the co-annihilator is
+    that of {g}, so every co-annihilator of a set is read off ``gen``.
+    """
+    ups = host.leq.sum(axis=1)
+    return np.where(host.join == host.top, ups[None, :], -1).argmax(axis=1)
 
 
 @dataclass(eq=False)
@@ -81,45 +92,36 @@ class CoAnnihilatorAlgebra:
         self._by_set = {f.members: i for i, f in enumerate(self.filters)}
 
 
+@per_host
 def co_ann_algebra(host):
     """Exact closure construction of the co-annihilator family.
 
-    Cached per host instance (hosts are immutable).
+    The family is the intersection closure of the singleton
+    co-annihilators ↑gen[a], computed on their least elements, since
+    ↑g ∩ ↑h = ↑(g ∨ h).  Cached on the host instance.
     """
-    got = _COANN_CACHE.get(host)
-    if got is not None:
-        return got
-    singles = {co_annihilator(host, [a]).members for a in range(host.n)}
-    family = set(singles)
-    family.add(frozenset(range(host.n)))   # empty subset's co-annihilator
-    fresh = set(family)
+    gen = _coann_generators(host)
+    core = idempotent_core(host)
+    family = set(gen.tolist())
+    fresh = family
     while fresh:
-        nxt = set()
-        for f in fresh:
-            for g in family:
-                h = f & g
-                if h not in family and h not in nxt:
-                    nxt.add(h)
-        family |= nxt
-        fresh = nxt
-    ordered = sorted(family, key=_filter_sort_key)
-    pos = {f: i for i, f in enumerate(ordered)}
-    k = len(ordered)
-    join = np.zeros((k, k), dtype=np.int64)
-    meet = np.zeros((k, k), dtype=np.int64)
-    comp = {}
-    for i, f in enumerate(ordered):
-        dual = co_annihilator(host, f).members
-        if dual not in pos:
-            raise InvalidSystem("co-annihilator family is not closed under duals")
-        comp[i] = pos[dual]
-    for i, f in enumerate(ordered):
-        for j, g in enumerate(ordered):
-            meet[i, j] = pos[f & g]
-            lifted = co_annihilator(host, ordered[comp[i]] & ordered[comp[j]]).members
-            join[i, j] = pos[lifted]
-    bot = pos[co_annihilator(host, [host.bot]).members]
-    top = pos[frozenset(range(host.n))]
+        met = host.join[np.ix_(sorted(fresh), sorted(family))]
+        fresh = set(met.ravel().tolist()) - family
+        family |= fresh
+    # least elements of filters are idempotent, so the filter order of the
+    # core is the (len, sorted members) order of the co-annihilators
+    least = np.array(sorted(family, key=core.index.__getitem__), dtype=np.int64)
+    k = len(least)
+    pos = np.full(host.n, -1, dtype=np.int64)
+    pos[least] = np.arange(k)
+    dual = gen[least]
+    if (pos[dual] < 0).any():
+        raise InvalidSystem("co-annihilator family is not closed under duals")
+    comp = {i: int(j) for i, j in enumerate(pos[dual])}
+    meet = pos[host.join[np.ix_(least, least)]]
+    join = pos[gen[host.join[np.ix_(dual, dual)]]]
+    bot = int(pos[gen[host.bot]])
+    top = int(pos[host.bot])
     lattice = validate_bdl(join, meet, bot=bot, top=top,
                            names=[f"C{i}" for i in range(k)])
     for i in range(k):
@@ -128,10 +130,8 @@ def co_ann_algebra(host):
             raise LatticeLawViolation("co-annihilator complement law fails", (i, j))
     if len(boolean_center(lattice).elements) != k:
         raise LatticeLawViolation("co-annihilator algebra is not Boolean", ())
-    filters = tuple(Filter(host, f) for f in ordered)
-    built = CoAnnihilatorAlgebra(host, filters, lattice, comp)
-    _COANN_CACHE[host] = built
-    return built
+    filters = tuple(core.filters[core.index[g]] for g in least)
+    return CoAnnihilatorAlgebra(host, filters, lattice, comp)
 
 
 def co_ann_subset_scan(host, limit=COANN_SCAN_LIMIT):
@@ -316,13 +316,22 @@ def m_stone_conditions(host):
     of the filter lattice; (4) singleton co-annihilators turn joins into
     filter joins, and every double co-annihilator is again a singleton one;
     (5) each co-annihilator joins with its dual to the whole carrier.
+
+    Clauses 3 to 5 work on least elements: the co-annihilator of {a} is
+    ↑gen[a], that of a filter ↑g is ↑gen[g], and on idempotents
+    ↑f ∩ ↑g = ↑(f ∨ g) and ↑f ∨ ↑g = ↑(f·g).  Since ↑x = ↑y only when
+    x = y, clause 4's first half is the one table comparison
+    gen[l ∨ p] = gen[l]·gen[p], and clause 5 asks g·gen[g] = bot.
     """
     out = {}
     notes = ("finite Boolean centers are always complete, so clause two "
              "adds nothing beyond the Stone check on a finite host",)
     allowed = _central_principal_sets(host)
     ca = co_ann_algebra(host)
-    carrier = frozenset(range(host.n))
+    fl = all_filters(host)
+    core = idempotent_core(host)
+    gen = _coann_generators(host)
+    t = host.semigroup
 
     wit = next((f for f in ca.filters if f.members not in allowed), None)
     out["all_coann_centrally_principal"] = (wit is None, wit)
@@ -331,45 +340,36 @@ def m_stone_conditions(host):
     out["stone_with_complete_center"] = (
         sv.ok, None if sv.ok else host.names[sv.witness])
 
-    # double co-annihilators of single elements
-    dc = {co_annihilator(host, co_annihilator(host, [a]).members).members
-          for a in range(host.n)}
-    dc = sorted(dc, key=_filter_sort_key)
-    fl = all_filters(host)
-    filter_sets = {f.members for f in fl.filters}
+    # double co-annihilators of single elements, by least element
+    dc = np.array(sorted(set(gen[gen].tolist()), key=core.index.__getitem__),
+                  dtype=np.int64)
+    in_dc = np.zeros(host.n, dtype=bool)
+    in_dc[dc] = True
     ok3, wit3 = True, None
-    if not dc or frozenset({host.top}) not in dc or carrier not in dc:
+    if not (in_dc[host.top] and in_dc[host.bot]):   # {top} and the carrier
         ok3, wit3 = False, "bounds missing"
     if ok3:
-        for f, g in itertools.product(dc, dc):
-            if f & g not in dc or filter_join(host, Filter(host, f), Filter(host, g)).members not in dc:
-                ok3, wit3 = False, (sorted(f), sorted(g))
-                break
+        meets = host.join[np.ix_(dc, dc)]
+        joins = t[np.ix_(dc, dc)]
+        bad = ~(in_dc[meets] & in_dc[joins])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            ok3, wit3 = False, (_members_of(core, dc[i]), _members_of(core, dc[j]))
     if ok3:
-        for f in dc:
-            comp = next((g for g in dc
-                         if f & g == frozenset({host.top})
-                         and filter_join(host, Filter(host, f), Filter(host, g)).members == carrier),
-                        None)
-            if comp is None:
-                ok3, wit3 = False, sorted(f)
-                break
-    assert all(f in filter_sets for f in dc)
+        has_comp = ((meets == host.top) & (joins == host.bot)).any(axis=1)
+        if not has_comp.all():
+            ok3, wit3 = False, _members_of(core, dc[np.argmin(has_comp)])
     out["double_coann_sublattice"] = (ok3, wit3)
 
     # comparison reading: the abstract lattice on the same family embeds
     k = len(dc)
-    le = np.zeros((k, k), dtype=bool)
-    for i, f in enumerate(dc):
-        for j, g in enumerate(dc):
-            le[i, j] = f <= g
+    le = host.leq[np.ix_(dc, dc)].T   # ↑f ⊆ ↑g iff g ≤ f
     ok3b = False
     tabs = _tables_from_leq(le)
     if tabs is not None:
         try:
-            small = validate_bdl(tabs[0], tabs[1],
-                                 bot=dc.index(min(dc, key=_filter_sort_key)),
-                                 top=dc.index(carrier),
+            small = validate_bdl(tabs[0], tabs[1], bot=0,
+                                 top=dc.tolist().index(host.bot),
                                  names=[f"D{i}" for i in range(k)])
             if len(boolean_center(small).elements) == k:
                 ok3b = _embeds_with_bounds(small, fl.lattice)
@@ -378,33 +378,29 @@ def m_stone_conditions(host):
     out["double_coann_embeds"] = (ok3b, None)
 
     ok4, wit4 = True, None
-    for l in range(host.n):
-        for p in range(host.n):
-            lhs = co_annihilator(host, [int(host.join[l, p])]).members
-            rhs = filter_join(host, co_annihilator(host, [l]),
-                              co_annihilator(host, [p])).members
-            if lhs != rhs:
-                ok4, wit4 = False, (host.names[l], host.names[p])
-                break
-        if not ok4:
-            break
-    if ok4:
-        singles = {co_annihilator(host, [a]).members for a in range(host.n)}
+    bad = gen[host.join] != t[gen[:, None], gen[None, :]]
+    if bad.any():
+        l, p = np.argwhere(bad)[0]
+        ok4, wit4 = False, (host.names[l], host.names[p])
+    else:
+        singles = {core.filters[core.index[g]].members for g in gen}
         for f in ca.filters:
             if co_annihilator(host, f.members).members not in singles:
                 ok4, wit4 = False, f
                 break
     out["coann_of_join_splits"] = (ok4, wit4)
 
-    ok5, wit5 = True, None
-    for f in ca.filters:
-        dual = co_annihilator(host, f.members)
-        if filter_join(host, f, dual).members != carrier:
-            ok5, wit5 = False, f
-            break
-    out["coann_join_complement_covers"] = (ok5, wit5)
+    least = core.idempotents[[fl.index_of(f) for f in ca.filters]]
+    bad = np.flatnonzero(t[least, gen[least]] != host.bot)
+    ok5 = not bad.size
+    out["coann_join_complement_covers"] = (ok5, None if ok5 else ca.filters[bad[0]])
 
     return MStoneReport(out, notes)
+
+
+def _members_of(core, e):
+    """Sorted members of ↑e, for an idempotent e."""
+    return sorted(core.filters[core.index[e]].members)
 
 
 # -- transfer along the reticulation --------------------------------------
@@ -469,19 +465,16 @@ def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
                                          (sorted(bh.elements), sorted(bl.elements)))
 
     ca, cl = co_ann_algebra(host), co_ann_algebra(lat)
-    images = {_image_set(lam, f.members) for f in ca.filters}
-    targets = {f.members for f in cl.filters}
-    ok = images == targets and len(images) == len(ca.filters)
-    if ok:
-        for f in ca.filters:
-            for g in ca.filters:
-                if _image_set(lam, f.members & g.members) != \
-                        _image_set(lam, f.members) & _image_set(lam, g.members):
-                    ok = False
-        for f in ca.filters:
-            if _image_set(lam, co_annihilator(host, f.members).members) != \
-                    co_annihilator(lat, _image_set(lam, f.members)).members:
-                ok = False
+    images = [_image_set(lam, f.members) for f in ca.filters]
+    meets_transport = all(_image_set(lam, f.members & g.members) == fi & gi
+                          for f, fi in zip(ca.filters, images)
+                          for g, gi in zip(ca.filters, images))
+    ok = (set(images) == {f.members for f in cl.filters}
+          and len(set(images)) == len(ca.filters)
+          and meets_transport
+          and all(_image_set(lam, co_annihilator(host, f.members).members) ==
+                  co_annihilator(lat, fi).members
+                  for f, fi in zip(ca.filters, images)))
     out["coann_algebra_maps_isomorphically"] = (ok, None)
 
     if host.n <= scan_limit:
@@ -505,15 +498,8 @@ def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
             if left != right:
                 ok, detail = False, host.names[a]
                 break
-        if ok:
-            for f in ca.filters:
-                for g in ca.filters:
-                    if _image_set(lam, f.members & g.members) != \
-                            _image_set(lam, f.members) & _image_set(lam, g.members):
-                        ok, detail = False, "intersection transport"
-                        break
-                if not ok:
-                    break
+        if ok and not meets_transport:
+            ok, detail = False, "intersection transport"
     out["coann_image_commutes"] = (ok, detail)
     return TransferReport(out, route)
 

@@ -6,9 +6,18 @@ import os
 import numpy as np
 import pytest
 
-from retic import io, kowalski6, powerset_lattice
+from retic import (
+    all_filters,
+    co_ann_algebra,
+    find_isomorphism,
+    io,
+    kowalski6,
+    morphism,
+    powerset_lattice,
+    reticulate,
+)
 from retic.cli import main
-from retic.errors import InvalidSystem, ParseError
+from retic.errors import InvalidSystem, ParseError, ValidationError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXDIR = os.path.join(HERE, os.pardir, "fixtures")
@@ -36,6 +45,17 @@ def test_dumps_is_canonical():
     k6 = kowalski6()
     text = io.dumps(k6)
     assert io.dumps(io.loads(text).algebra) == text
+
+
+def test_loaded_document_is_not_a_host():
+    doc = io.load(fixture_path("kowalski6.rl"))
+    k6 = doc.algebra
+    calls = [lambda: find_isomorphism(doc, k6), lambda: find_isomorphism(k6, doc),
+             lambda: morphism(doc, k6, range(k6.n)), lambda: morphism(k6, doc, range(k6.n)),
+             lambda: reticulate(doc), lambda: all_filters(doc), lambda: co_ann_algebra(doc)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"got AlgebraDocument.*\.algebra"):
+            call()
 
 
 def test_round_trip_bounded_lattice():
