@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     KIND_BDL,
     KIND_RL,
+    _order_closure,
     boolean_center,
     compose,
     find_isomorphism,
@@ -71,13 +72,7 @@ class FinitePoset:
 
 def poset_from_pairs(k, pairs, names=None):
     """Reflexive-transitive closure of the given ≤ pairs; rejects cycles."""
-    le = np.eye(k, dtype=bool)
-    for lo, hi in pairs:
-        le[lo, hi] = True
-    for t in range(k):
-        le |= le[:, t][:, None] & le[t, :][None, :]
-    if (le & le.T & ~np.eye(k, dtype=bool)).any():
-        raise InvalidSystem("index order contains a cycle")
+    le = _order_closure(k, pairs, InvalidSystem("index order contains a cycle"))
     names = tuple(names) if names is not None else tuple(str(i) for i in range(k))
     return FinitePoset(le, names)
 

@@ -319,6 +319,45 @@ def negate(host, a):
     return int(host.imp[a, host.bot])
 
 
+def _order_closure(n, pairs, cycle_error):
+    """Reflexive-transitive closure on 0..n-1 of the (lo, hi) pairs, as a
+    boolean ``le`` matrix; raises ``cycle_error`` if it is not antisymmetric."""
+    le = np.eye(n, dtype=bool)
+    for lo, hi in pairs:
+        le[lo, hi] = True
+    for k in range(n):
+        le |= le[:, k][:, None] & le[k, :][None, :]
+    if (le & le.T & ~np.eye(n, dtype=bool)).any():
+        raise cycle_error
+    return le
+
+
+def _lattice_tables(le):
+    """Join and meet tables of the finite partial order ``le``.
+
+    The lub of a and b is the common upper bound whose up-set holds all of
+    them, and dually.  Raises ValueError naming the first pair, in
+    row-major order, that lacks a least upper or a greatest lower bound.
+    """
+    k = le.shape[0]
+    join = np.zeros((k, k), dtype=np.int64)
+    meet = np.zeros((k, k), dtype=np.int64)
+    ups, downs = le.sum(axis=1), le.sum(axis=0)
+    for a in range(k):
+        ub = le[a] & le          # [b, c]: c lies above a and b
+        lb = le[:, a] & le.T     # [b, c]: c lies below a and b
+        lub = ub & (ups == ub.sum(axis=1)[:, None])
+        glb = lb & (downs == lb.sum(axis=1)[:, None])
+        has_j, has_m = lub.any(axis=1), glb.any(axis=1)
+        bad = np.flatnonzero(~(has_j & has_m))
+        if bad.size:
+            b = int(bad[0])
+            bound = "greatest lower" if has_j[b] else "least upper"
+            raise ValueError(f"no {bound} bound for ({a}, {b})")
+        join[a], meet[a] = lub.argmax(axis=1), glb.argmax(axis=1)
+    return join, meet
+
+
 def tables_from_covers(n, covers):
     """Join/meet tables of the poset generated by a covering relation.
 
@@ -326,27 +365,8 @@ def tables_from_covers(n, covers):
     reflexive-transitive closure is not a lattice (some pair lacking a least
     upper or greatest lower bound).
     """
-    le = np.eye(n, dtype=bool)
-    for lo, hi in covers:
-        le[lo, hi] = True
-    for k in range(n):  # transitive closure
-        le |= le[:, k][:, None] & le[k, :][None, :]
-    if (le & le.T & ~np.eye(n, dtype=bool)).any():
-        raise ValueError("covering relation induces a cycle")
-    rows = {tuple(le[i]): i for i in range(n)}
-    down = {tuple(le[:, i]): i for i in range(n)}
-    join = np.zeros((n, n), dtype=np.int64)
-    meet = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            ub = tuple(le[a] & le[b])
-            if ub not in rows:
-                raise ValueError(f"no least upper bound for ({a}, {b})")
-            join[a, b] = rows[ub]
-            lb = tuple(le[:, a] & le[:, b])
-            if lb not in down:
-                raise ValueError(f"no greatest lower bound for ({a}, {b})")
-            meet[a, b] = down[lb]
+    le = _order_closure(n, covers, ValueError("covering relation induces a cycle"))
+    join, meet = _lattice_tables(le)
     return join.tolist(), meet.tolist()
 
 
@@ -373,12 +393,13 @@ class BooleanAlgebraView:
         return [self.host.names[e] for e in self.elements]
 
 
+@per_host
 def boolean_center(host):
     """Collect the complemented elements of a validated host.
 
     Complements are unique here (by residuation arithmetic for the
     residuated kind, by distributivity for the lattice kind), which is
-    asserted rather than assumed.
+    asserted rather than assumed.  Cached on the host instance.
     """
     n = host.n
     comp = {}

@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import KIND_RL, _freeze, morphism, per_host, validate_bdl, validate_rl
+from .core import KIND_RL, _freeze, morphism, per_host, require_host, validate_bdl, validate_rl
 from .errors import NotClosed, SizeLimitExceeded
 
 SUBSET_SCAN_LIMIT = 20
@@ -257,6 +257,7 @@ def quotient_rl(host, filt):
     filter.  Returns the quotient algebra and the certified projection.
     Class names follow the least member, as in "c/F".
     """
+    require_host(host)
     f = as_filter(host, filt)
     ind = f.indicator()
     rel = ind[host.biimp_table]

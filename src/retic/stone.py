@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .core import boolean_center, per_host, pseudocomplement_or_raise, validate_bdl
+from .core import (KIND_BDL, _lattice_tables, boolean_center, morphism, per_host,
+                   pseudocomplement_or_raise, require_host, validate_bdl)
 from .errors import (
     InvalidSystem,
     LatticeLawViolation,
@@ -49,6 +51,7 @@ def co_annihilator(host, subset):
 
     The empty subset yields the whole carrier.
     """
+    require_host(host)
     idx = sorted({int(a) for a in subset})
     if not idx:
         return Filter(host, frozenset(range(host.n)))
@@ -163,12 +166,18 @@ class StoneVerdict:
 
 def is_stone(host):
     """Every singleton co-annihilator is the principal filter of a
-    complemented element."""
-    allowed = _central_principal_sets(host)
-    for a in range(host.n):
-        if co_annihilator(host, [a]).members not in allowed:
-            return StoneVerdict(False, a, tuple(allowed.values()))
-    return StoneVerdict(True, None, tuple(allowed.values()))
+    complemented element.
+
+    The co-annihilator of {a} is ↑gen[a], and ↑x = ↑y only when x = y, so
+    this asks that every gen[a] be central; the witness is the first a
+    whose gen[a] is not.
+    """
+    center = boolean_center(host)
+    central = np.zeros(host.n, dtype=bool)
+    central[list(center.elements)] = True
+    bad = np.flatnonzero(~central[_coann_generators(host)])
+    return StoneVerdict(not bad.size, int(bad[0]) if bad.size else None,
+                        center.elements)
 
 
 @dataclass(eq=False)
@@ -204,64 +213,35 @@ def strongly_stone_subset_scan(host, limit=STRONG_SCAN_LIMIT):
 # -- the five-clause variant ----------------------------------------------
 
 
-def _tables_from_leq(le):
-    """Join/meet tables of a finite order, or None when lubs/glbs miss."""
-    k = le.shape[0]
-    rows = {tuple(le[i]): i for i in range(k)}
-    cols = {tuple(le[:, i]): i for i in range(k)}
-    join = np.zeros((k, k), dtype=np.int64)
-    meet = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            ub = tuple(le[a] & le[b])
-            lb = tuple(le[:, a] & le[:, b])
-            if ub not in rows or lb not in cols:
-                return None
-            join[a, b] = rows[ub]
-            meet[a, b] = cols[lb]
-    return join, meet
+def _boolean_embeds(small, big):
+    """Whether the Boolean lattice ``small`` embeds into the distributive
+    lattice ``big`` by an injective bounded-lattice map.
 
-
-def _embeds_with_bounds(small, big):
-    """Injective bounded-lattice morphism search small -> big (brute force,
-    pruned by order consistency; both carriers are tiny here)."""
-    order = sorted(range(small.n), key=lambda u: int(small.height[u]))
-    assign = {small.bot: big.bot, small.top: big.top}
-    if small.bot == small.top:
+    small ≅ 2^m and a map from it is fixed by the images of its m atoms.
+    Those are nonzero, pairwise disjoint and complemented, and join to top,
+    so an embedding exists iff the Boolean center of big has at least m
+    atoms.  The map sends the atoms of small to the first m - 1 center
+    atoms and the join of the rest, extended by joins, and is certified
+    before True is returned; False comes only from the atom count.
+    """
+    atoms = np.flatnonzero(small.covers[small.bot])
+    if not atoms.size:
         return big.bot == big.top
-
-    def consistent(u, v):
-        for w, img in assign.items():
-            if bool(small.leq[u, w]) != bool(big.leq[v, img]):
-                return False
-            if bool(small.leq[w, u]) != bool(big.leq[img, v]):
-                return False
-        return True
-
-    def full_check():
-        f = np.array([assign[u] for u in range(small.n)], dtype=np.int64)
-        if len(set(f.tolist())) != small.n:
-            return False
-        okj = (f[small.join] == big.join[f[:, None], f[None, :]]).all()
-        okm = (f[small.meet] == big.meet[f[:, None], f[None, :]]).all()
-        return bool(okj and okm)
-
-    todo = [u for u in order if u not in assign]
-
-    def backtrack(t):
-        if t == len(todo):
-            return full_check()
-        u = todo[t]
-        for v in range(big.n):
-            if v in assign.values() or not consistent(u, v):
-                continue
-            assign[u] = v
-            if backtrack(t + 1):
-                return True
-            del assign[u]
+    center = np.array(boolean_center(big).elements, dtype=np.int64)
+    center = center[center != big.bot]
+    below = big.leq[np.ix_(center, center)].sum(axis=0)
+    catoms = center[below == 1].tolist()
+    m = len(atoms)
+    if len(catoms) < m:
         return False
-
-    return backtrack(0)
+    images = catoms[:m - 1] + [reduce(lambda x, y: int(big.join[x, y]), catoms[m - 1:])]
+    f = np.full(small.n, big.bot, dtype=np.int64)
+    for a, img in zip(atoms, images):
+        f = np.where(small.leq[a], big.join[f, img], f)
+    morphism(small, big, f, KIND_BDL)
+    if len(set(f.tolist())) != small.n:
+        raise LatticeLawViolation("the atom map of a Boolean lattice is not injective")
+    return True
 
 
 @dataclass(eq=False)
@@ -272,7 +252,9 @@ class MStoneReport:
     clauses are expected to agree on every host; ``agree`` says whether they
     did, ``m_stone`` is their shared verdict (clause one's, by convention).
     ``double_coann_embeds`` is a strictly weaker reading of the sublattice
-    clause kept for comparison and excluded from the headline.
+    clause kept for comparison and excluded from the headline.  It holds iff
+    the double co-annihilators form some 2^m under inclusion and the filter
+    lattice's Boolean center has at least m atoms.
     """
 
     conditions: dict
@@ -321,7 +303,9 @@ def m_stone_conditions(host):
     ↑gen[a], that of a filter ↑g is ↑gen[g], and on idempotents
     ↑f ∩ ↑g = ↑(f ∨ g) and ↑f ∨ ↑g = ↑(f·g).  Since ↑x = ↑y only when
     x = y, clause 4's first half is the one table comparison
-    gen[l ∨ p] = gen[l]·gen[p], and clause 5 asks g·gen[g] = bot.
+    gen[l ∨ p] = gen[l]·gen[p], and clause 5 asks g·gen[g] = bot.  The
+    comparison reading counts the central atoms of the filter lattice and
+    certifies the embedding built from them (``_boolean_embeds``); no search.
     """
     out = {}
     notes = ("finite Boolean centers are always complete, so clause two "
@@ -364,17 +348,14 @@ def m_stone_conditions(host):
     # comparison reading: the abstract lattice on the same family embeds
     k = len(dc)
     le = host.leq[np.ix_(dc, dc)].T   # ↑f ⊆ ↑g iff g ≤ f
-    ok3b = False
-    tabs = _tables_from_leq(le)
-    if tabs is not None:
-        try:
-            small = validate_bdl(tabs[0], tabs[1], bot=0,
-                                 top=dc.tolist().index(host.bot),
-                                 names=[f"D{i}" for i in range(k)])
-            if len(boolean_center(small).elements) == k:
-                ok3b = _embeds_with_bounds(small, fl.lattice)
-        except ValidationError:
-            ok3b = False
+    try:
+        small = validate_bdl(*_lattice_tables(le), bot=0,
+                             top=dc.tolist().index(host.bot),
+                             names=[f"D{i}" for i in range(k)])
+    except (ValueError, ValidationError):   # not a distributive lattice
+        small = None
+    ok3b = (small is not None and len(boolean_center(small).elements) == k
+            and _boolean_embeds(small, fl.lattice))
     out["double_coann_embeds"] = (ok3b, None)
 
     ok4, wit4 = True, None

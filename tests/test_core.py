@@ -15,6 +15,7 @@ from retic import (
     kowalski6,
     negation_identity,
     powerset_lattice,
+    reticulate,
     validate_bdl,
     validate_rl,
 )
@@ -22,6 +23,7 @@ from retic.core import (
     KIND_BDL,
     KIND_RL,
     AlgebraMorphism,
+    _lattice_tables,
     compose,
     identity_morphism,
     invert,
@@ -112,8 +114,24 @@ def test_tables_from_covers_diamond():
 
 def test_tables_from_covers_rejects_non_lattice():
     # two maximal elements, pair {1, 2} has no least upper bound
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no least upper bound for \(1, 2\)$"):
         tables_from_covers(4, [(0, 1), (0, 2), (1, 3)])
+    # two minimal elements, pair {0, 1} has no greatest lower bound
+    with pytest.raises(ValueError, match=r"^no greatest lower bound for \(0, 1\)$"):
+        tables_from_covers(3, [(0, 2), (1, 2)])
+    # an antichain lacks both; the upper bound is named first
+    with pytest.raises(ValueError, match=r"^no least upper bound for \(0, 1\)$"):
+        tables_from_covers(2, [])
+    with pytest.raises(ValueError, match="induces a cycle"):
+        tables_from_covers(2, [(0, 1), (1, 0)])
+
+
+def test_lattice_tables_recover_every_corpus_lattice(corpus):
+    """The order alone gives back the join and meet tables."""
+    for _, host in corpus:
+        for x in (host, reticulate(host).lattice):
+            join, meet = _lattice_tables(x.leq)
+            assert np.array_equal(join, x.join) and np.array_equal(meet, x.meet)
 
 
 def test_cover_helpers_on_chain():

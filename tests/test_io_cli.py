@@ -8,12 +8,18 @@ import pytest
 
 from retic import (
     all_filters,
+    boolean_center,
     co_ann_algebra,
+    co_annihilator,
     find_isomorphism,
     io,
+    is_stone,
+    is_strongly_stone,
     kowalski6,
+    m_stone_conditions,
     morphism,
     powerset_lattice,
+    quotient_rl,
     reticulate,
 )
 from retic.cli import main
@@ -52,7 +58,10 @@ def test_loaded_document_is_not_a_host():
     k6 = doc.algebra
     calls = [lambda: find_isomorphism(doc, k6), lambda: find_isomorphism(k6, doc),
              lambda: morphism(doc, k6, range(k6.n)), lambda: morphism(k6, doc, range(k6.n)),
-             lambda: reticulate(doc), lambda: all_filters(doc), lambda: co_ann_algebra(doc)]
+             lambda: reticulate(doc), lambda: all_filters(doc), lambda: co_ann_algebra(doc),
+             lambda: co_annihilator(doc, [0]), lambda: is_stone(doc),
+             lambda: is_strongly_stone(doc), lambda: m_stone_conditions(doc),
+             lambda: quotient_rl(doc, [k6.top]), lambda: boolean_center(doc)]
     for call in calls:
         with pytest.raises(ValidationError, match=r"got AlgebraDocument.*\.algebra"):
             call()
