@@ -553,7 +553,9 @@ def boolean_power(base, boolean, limit=POWER_LIMIT):
             rows = decode[:, j] == a
             functions[rows, a] = boolean.join[functions[rows, a], atom]
 
-    member_of = {tuple(int(v) for v in row): x for x, row in enumerate(functions)}
+    # member index from the digits (the base element per atom), row-major
+    weights = base.n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    atom_leq = boolean.leq[ats]
     tables = {}
     for name, t in base.op_tables().items():
         acc = np.full((base.n, total, total), boolean.bot, dtype=np.int64)
@@ -563,10 +565,11 @@ def boolean_power(base, boolean, limit=POWER_LIMIT):
                 c = int(t[a1, a2])
                 contrib = boolean.meet[col1[:, None], functions[:, a2][None, :]]
                 acc[c] = boolean.join[acc[c], contrib]
-        table = np.zeros((total, total), dtype=np.int64)
-        for x1 in range(total):
-            for x2 in range(total):
-                table[x1, x2] = member_of[tuple(int(v) for v in acc[:, x1, x2])]
+        # digit j of the result is the base element whose value lies above atom j
+        digits = atom_leq[:, acc].argmax(axis=1)
+        table = (weights[:, None, None] * digits).sum(axis=0)
+        if not np.array_equal(functions[table], acc.transpose(1, 2, 0)):
+            raise InvalidSystem(f"Boolean power {name} table is not a partition function")
         tables[name] = table
     names = ["[" + "|".join(base.names[int(v)] for v in row) + "]" for row in decode]
     # bot/top are the constant members at the base bounds

@@ -6,10 +6,12 @@ with rows indexed by the left argument.  The order is not stored: it is
 derived from join (a <= b iff a v b = b).
 
 Validation is eager and total.  ``validate_rl`` / ``validate_bdl`` are the
-only constructors; they scan every defining law over all tuples (vectorised,
-so cheap up to a few hundred elements) and raise a *Violation error carrying
-a witness tuple on the first failure.  Consequently any instance in
-circulation satisfies its axioms, and all downstream code may assume so.
+only constructors; they scan every defining law over all tuples and raise a
+*Violation error carrying a witness tuple on the first failure.  The laws in
+three variables are scanned in slabs of the first argument, so memory stays
+O(n^2) and the witness is the first failing triple in row-major order.
+Consequently any instance in circulation satisfies its axioms, and all
+downstream code may assume so.
 Instances are immutable; all functions here are pure.
 """
 
@@ -36,6 +38,7 @@ KIND_RL = "residuated-lattice"
 KIND_BDL = "bounded-lattice"
 
 ISO_SEARCH_LIMIT = 64  # default carrier bound for isomorphism search
+SLAB_CELLS = 1 << 20   # cells per slab of a triple scan; bounds its memory
 
 
 def _freeze(a):
@@ -47,6 +50,26 @@ def _witness(mask):
     '''First True index tuple of a boolean mask, as plain ints.'''
     idx = np.argwhere(mask)
     return tuple(int(v) for v in idx[0])
+
+
+def _narrow(t):
+    '''Copy of a validated n x n table in the smallest dtype holding n-1.'''
+    return t.astype(np.min_scalar_type(len(t) - 1))
+
+
+def _first_bad_triple(n, slab_mask):
+    """First (a, b, c) in row-major order at which a law fails, or None.
+
+    ``slab_mask(lo, hi)`` is the (hi - lo) x n x n violation mask of the
+    triples with lo <= a < hi; slabs hold about SLAB_CELLS cells each.
+    """
+    step = max(1, SLAB_CELLS // (n * n))
+    for lo in range(0, n, step):
+        bad = slab_mask(lo, min(lo + step, n))
+        if bad.any():
+            a, b, c = _witness(bad)
+            return (lo + a, b, c)
+    return None
 
 
 def _as_table(raw, n, name):
@@ -71,9 +94,11 @@ def _check_semilattice(t, name, exc=LatticeLawViolation):
 
 
 def _check_associative(t, name, exc):
-    bad = t[t, :] != t[:, t]  # (a.b).c vs a.(b.c)
-    if bad.any():
-        raise exc(f"{name} is not associative", _witness(bad))
+    t = _narrow(t)
+    # (a.b).c vs a.(b.c)
+    bad = _first_bad_triple(len(t), lambda lo, hi: t[t[lo:hi], :] != t[lo:hi][:, t])
+    if bad:
+        raise exc(f"{name} is not associative", bad)
 
 
 def _check_bounded_lattice(join, meet, bot, top):
@@ -236,11 +261,11 @@ def validate_bdl(join, meet, bot, top, names=None):
     if not (0 <= bot < n and 0 <= top < n):
         raise TableShapeError("bot/top out of range")
     _check_bounded_lattice(join, meet, bot, top)
-    bad = meet[:, join] != join[meet[:, :, None], meet[:, None, :]]
-    if bad.any():
-        raise DistributivityViolation(
-            "a ^ (b v c) = (a ^ b) v (a ^ c) fails", _witness(bad)
-        )
+    j, m = _narrow(join), _narrow(meet)
+    bad = _first_bad_triple(n, lambda lo, hi: (
+        m[lo:hi][:, j] != j[m[lo:hi, :, None], m[lo:hi, None, :]]))
+    if bad:
+        raise DistributivityViolation("a ^ (b v c) = (a ^ b) v (a ^ c) fails", bad)
     return FiniteBoundedLattice(join, meet, bot, top, _names_tuple(names, n))
 
 
@@ -268,11 +293,11 @@ def validate_rl(join, meet, mul, imp, bot, top, names=None):
     if (mul[top] != ar).any():
         raise MonoidLawViolation("top is not a unit for mul", _witness(mul[top] != ar))
     leq = join == ar[None, :]
-    bad = leq[:, imp] != leq[mul]  # a <= (b -> c)  vs  a.b <= c
-    if bad.any():
-        raise ResiduationViolation(
-            "a <= imp(b, c) iff mul(a, b) <= c fails", _witness(bad)
-        )
+    i, p = _narrow(imp), _narrow(mul)
+    # a <= (b -> c)  vs  a.b <= c
+    bad = _first_bad_triple(n, lambda lo, hi: leq[lo:hi][:, i] != leq[p[lo:hi]])
+    if bad:
+        raise ResiduationViolation("a <= imp(b, c) iff mul(a, b) <= c fails", bad)
     return FiniteResiduatedLattice(join, meet, mul, imp, bot, top, _names_tuple(names, n))
 
 

@@ -94,14 +94,9 @@ def loads(text):
     kind = None
     name = None
     elements = None
+    index = None  # element name -> position
     bot = top = None
     tables = {}
-
-    def index_of(tok, ln, col):
-        try:
-            return elements.index(tok)
-        except ValueError:
-            raise ParseError(f"unknown element {tok!r}", ln, col) from None
 
     seen = set()
     while pos < len(lines):
@@ -126,14 +121,18 @@ def loads(text):
             if not rest:
                 raise ParseError("elements list is empty", ln, col0)
             elements = [t for _, t in rest]
-            if len(set(elements)) != len(elements):
+            index = {t: i for i, t in enumerate(elements)}
+            if len(index) != len(elements):
                 raise ParseError("element names must be distinct", ln, col0)
         elif head in {"bot", "top"}:
             if elements is None:
                 raise ParseError(f"{head} before elements", ln, col0)
             if len(rest) != 1:
                 raise ParseError(f"{head} takes one element", ln, col0)
-            v = index_of(rest[0][1], ln, rest[0][0])
+            col, tok = rest[0]
+            if tok not in index:
+                raise ParseError(f"unknown element {tok!r}", ln, col)
+            v = index[tok]
             if head == "bot":
                 bot = v
             else:
@@ -155,10 +154,14 @@ def loads(text):
             rows = []
             for _ in range(n):
                 rln, rbody = take()
-                rtoks = _tokens(rbody)
+                rtoks = rbody.split()
                 if len(rtoks) != n:
                     raise ParseError(f"expected {n} entries in table row", rln, 1)
-                rows.append([index_of(t, rln, c) for c, t in rtoks])
+                try:
+                    rows.append([index[t] for t in rtoks])
+                except KeyError:
+                    col, tok = next((c, t) for c, t in _tokens(rbody) if t not in index)
+                    raise ParseError(f"unknown element {tok!r}", rln, col) from None
             tables[opname] = rows
         else:
             raise ParseError(f"unknown directive {head!r}", ln, col0)
@@ -193,11 +196,11 @@ def dumps(algebra, name=None, header=None):
     out.append(f"bot {algebra.names[algebra.bot]}")
     out.append(f"top {algebra.names[algebra.top]}")
     width = max(len(s) for s in algebra.names)
+    padded = [s.ljust(width) for s in algebra.names]
     for opname in _TABLES[algebra.kind]:
         out.append(f"table {opname}")
-        t = algebra.op_tables()[opname]
-        for row in t:
-            out.append(" ".join(algebra.names[int(v)].ljust(width) for v in row).rstrip())
+        for row in algebra.op_tables()[opname].tolist():
+            out.append(" ".join([padded[v] for v in row]).rstrip())
     return "\n".join(out) + "\n"
 
 
