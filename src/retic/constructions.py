@@ -9,9 +9,14 @@ classes of "pushed-forward equality" without using M and certifies that
 they biject with the chosen carrier.
 
 Boolean-power members are represented by their atom decomposition (one
-base element per atom of the Boolean algebra); the operation tables are
-still computed from the defining convolution formula, and the pointwise
-direct-power shortcut is left to the tests as the second route.
+base element per atom of the Boolean algebra).  For B = 2^m the power A[B]
+is the direct power A^m, so its operation tables are those of the product
+of m copies of the base; the defining convolution formula is left to the
+tests as the second route.
+
+Every algebra built here is certified, not re-scanned (``core._certified``):
+a product, power or subalgebra by injective homomorphisms into its
+validated factors or host, a quotient by its surjective class map.
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ import numpy as np
 from .core import (
     KIND_BDL,
     KIND_RL,
+    _certified,
+    _induced_tables,
     _order_closure,
+    _witness,
     boolean_center,
     compose,
     find_isomorphism,
@@ -42,8 +50,7 @@ from .reticulation import (
     uniqueness_iso,
 )
 
-PRODUCT_LIMIT = 4096
-POWER_LIMIT = 20000
+PRODUCT_LIMIT = 4096  # members of a product or Boolean power
 CLOSED_SUBSET_LIMIT = 16
 
 
@@ -316,6 +323,19 @@ def _product_names(factors, decoded):
     return ["(" + ",".join(row) + ")" for row in zip(*cols)]
 
 
+def _product_tables(factors):
+    """Row-major digits of the members of a direct product of same-kind
+    hosts, and its componentwise operation tables."""
+    dims = tuple(f.n for f in factors)
+    decoded = np.unravel_index(np.arange(int(np.prod(dims))), dims)
+    tables = {}
+    for name in factors[0].op_tables():
+        comps = [f.op_tables()[name][d[:, None], d[None, :]]
+                 for f, d in zip(factors, decoded)]
+        tables[name] = np.ravel_multi_index(tuple(comps), dims)
+    return decoded, tables
+
+
 def direct_product(factors, limit=PRODUCT_LIMIT):
     """Componentwise product of same-kind validated algebras.
 
@@ -332,20 +352,13 @@ def direct_product(factors, limit=PRODUCT_LIMIT):
     total = int(np.prod(dims))
     if total > limit:
         raise SizeLimitExceeded(f"product size {total} exceeds bound {limit}", limit)
-    decoded = np.unravel_index(np.arange(total), dims)
-    tables = {}
-    for name in factors[0].op_tables():
-        comps = [f.op_tables()[name][d[:, None], d[None, :]]
-                 for f, d in zip(factors, decoded)]
-        tables[name] = np.ravel_multi_index(tuple(comps), dims)
+    decoded, tables = _product_tables(factors)
     bot = int(np.ravel_multi_index(tuple(f.bot for f in factors), dims))
     top = int(np.ravel_multi_index(tuple(f.top for f in factors), dims))
     names = _product_names(factors, decoded)
-    build = validate_rl if factors[0].kind == KIND_RL else validate_bdl
-    algebra = build(bot=bot, top=top, names=names, **tables)
-    projections = tuple(
-        morphism(algebra, f, decoded[t], f.kind) for t, f in enumerate(factors)
-    )
+    # the projections are the certificate
+    algebra, projections = _certified(factors[0].kind, tables, bot, top, names,
+                                      into=zip(factors, decoded))
     return Product(factors, algebra, projections)
 
 
@@ -394,23 +407,19 @@ def subalgebra(host, subset):
     missing = {host.bot, host.top} - set(elements)
     if missing:
         raise NotClosed("subset must contain bot and top", tuple(sorted(missing)))
-    pos = {a: t for t, a in enumerate(elements)}
-    for name, table in host.op_tables().items():
-        for a in elements:
-            for b in elements:
-                v = int(table[a, b])
-                if v not in pos:
-                    raise NotClosed(
-                        f"subset not closed under {name} at "
-                        f"({host.names[a]}, {host.names[b]})", (name, a, b))
     sel = np.array(elements, dtype=np.int64)
     remap = np.full(host.n, -1, dtype=np.int64)
     remap[sel] = np.arange(len(elements))
-    tables = {name: remap[t[np.ix_(sel, sel)]] for name, t in host.op_tables().items()}
-    build = validate_rl if host.kind == KIND_RL else validate_bdl
-    algebra = build(bot=int(remap[host.bot]), top=int(remap[host.top]),
-                    names=[host.names[a] for a in elements], **tables)
-    inclusion = morphism(algebra, host, sel, host.kind)
+    tables = _induced_tables(host.op_tables(), sel, remap)
+    for name, t in tables.items():
+        if (t < 0).any():
+            a, b = (elements[i] for i in _witness(t < 0))
+            raise NotClosed(
+                f"subset not closed under {name} at "
+                f"({host.names[a]}, {host.names[b]})", (name, a, b))
+    algebra, (inclusion,) = _certified(host.kind, tables, int(remap[host.bot]),
+                                       int(remap[host.top]),
+                                       [host.names[a] for a in elements], into=[(host, sel)])
     return Subalgebra(host, elements, algebra, inclusion)
 
 
@@ -456,15 +465,14 @@ def check_subalgebra_preservation(host, subset, retic=None):
     ipos = np.full(r.lattice.n, -1, dtype=np.int64)
     ipos[image] = np.arange(len(image))
     isel = np.array(image, dtype=np.int64)
-    for u in image:
-        for v in image:
-            if ipos[int(r.lattice.join[u, v])] < 0 or ipos[int(r.lattice.meet[u, v])] < 0:
-                raise NotClosed("reticulation image is not a sublattice", (u, v))
-    lattice = validate_bdl(
-        ipos[r.lattice.join[np.ix_(isel, isel)]],
-        ipos[r.lattice.meet[np.ix_(isel, isel)]],
-        bot=int(ipos[r.lam[host.bot]]), top=int(ipos[r.lam[host.top]]),
-        names=[r.lattice.names[u] for u in image])
+    tables = _induced_tables(r.lattice.op_tables(), isel, ipos)
+    bad = (tables["join"] < 0) | (tables["meet"] < 0)
+    if bad.any():
+        raise NotClosed("reticulation image is not a sublattice",
+                        tuple(image[i] for i in _witness(bad)))
+    lattice, _ = _certified(KIND_BDL, tables, int(ipos[r.lam[host.bot]]),
+                            int(ipos[r.lam[host.top]]),
+                            [r.lattice.names[u] for u in image], into=[(r.lattice, isel)])
     lam = ipos[r.lam[sel]]
     conditions = reticulation_conditions(sub.algebra, lattice, lam)
 
@@ -527,14 +535,28 @@ class BooleanPower:
     algebra: object
 
 
-def boolean_power(base, boolean, limit=POWER_LIMIT):
+def _not_partition_functions(boolean, functions):
+    """Mask of the rows of ``functions`` whose values are not pairwise
+    disjoint with join top."""
+    acc = np.full(len(functions), boolean.bot, dtype=np.int64)
+    bad = np.zeros(len(functions), dtype=bool)
+    for col in functions.T:
+        # a value meets the join of the earlier ones iff it meets one of them
+        bad |= boolean.meet[acc, col] != boolean.bot
+        acc = boolean.join[acc, col]
+    return bad | (acc != boolean.top)
+
+
+def boolean_power(base, boolean, limit=PRODUCT_LIMIT):
     """The algebra of partition functions base -> boolean.
 
     A member assigns to each base element a Boolean value, the values being
     pairwise disjoint with join top; equivalently it picks one base element
-    per atom, which is the stored representation.  Operation tables come
-    from the defining convolution: the value of f(X1, X2) at c is the join
-    of X1(a1) ∧ X2(a2) over all pairs with f(a1, a2) = c.
+    per atom, which is the stored representation.  The value of f(X1, X2) at
+    c is the join of X1(a1) ∧ X2(a2) over all pairs with f(a1, a2) = c, and
+    the atoms split that join: the power acts atom by atom, so for m atoms
+    it is the direct power base^m, with the same tables, certified by its m
+    digit projections.
     """
     if not is_boolean(boolean):
         raise InvalidSystem("exponent lattice is not a Boolean algebra")
@@ -544,39 +566,27 @@ def boolean_power(base, boolean, limit=POWER_LIMIT):
     if total > limit:
         raise SizeLimitExceeded(f"Boolean power size {total} exceeds bound {limit}", limit)
     dims = (base.n,) * m
-    decode = np.stack(np.unravel_index(np.arange(total), dims), axis=1) if m else \
-        np.zeros((1, 0), dtype=np.int64)
+    if m:
+        digits, tables = _product_tables((base,) * m)
+        decode = np.stack(digits, axis=1)
+    else:  # the one-element power
+        decode = np.zeros((1, 0), dtype=np.int64)
+        tables = {name: np.zeros((1, 1), dtype=np.int64) for name in base.op_tables()}
 
     functions = np.full((total, base.n), boolean.bot, dtype=np.int64)
+    rows = np.arange(total)
     for j, atom in enumerate(ats):
-        for a in range(base.n):
-            rows = decode[:, j] == a
-            functions[rows, a] = boolean.join[functions[rows, a], atom]
-
-    # member index from the digits (the base element per atom), row-major
-    weights = base.n ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    atom_leq = boolean.leq[ats]
-    tables = {}
-    for name, t in base.op_tables().items():
-        acc = np.full((base.n, total, total), boolean.bot, dtype=np.int64)
-        for a1 in range(base.n):
-            col1 = functions[:, a1]
-            for a2 in range(base.n):
-                c = int(t[a1, a2])
-                contrib = boolean.meet[col1[:, None], functions[:, a2][None, :]]
-                acc[c] = boolean.join[acc[c], contrib]
-        # digit j of the result is the base element whose value lies above atom j
-        digits = atom_leq[:, acc].argmax(axis=1)
-        table = (weights[:, None, None] * digits).sum(axis=0)
-        if not np.array_equal(functions[table], acc.transpose(1, 2, 0)):
-            raise InvalidSystem(f"Boolean power {name} table is not a partition function")
-        tables[name] = table
+        functions[rows, decode[:, j]] = boolean.join[functions[rows, decode[:, j]], atom]
     names = ["[" + "|".join(base.names[int(v)] for v in row) + "]" for row in decode]
+    bad = _not_partition_functions(boolean, functions)
+    if bad.any():
+        raise InvalidSystem(f"Boolean power member {names[int(np.argmax(bad))]} "
+                            "is not a partition function")
     # bot/top are the constant members at the base bounds
     enc_bot = int(np.ravel_multi_index((base.bot,) * m, dims)) if m else 0
     enc_top = int(np.ravel_multi_index((base.top,) * m, dims)) if m else 0
-    build = validate_rl if base.kind == KIND_RL else validate_bdl
-    algebra = build(bot=enc_bot, top=enc_top, names=names, **tables)
+    algebra, _ = _certified(base.kind, tables, enc_bot, enc_top, names,
+                            into=[(base, decode[:, j]) for j in range(m)])
     return BooleanPower(base, boolean, tuple(ats), decode, functions, algebra)
 
 
@@ -633,7 +643,7 @@ def partition_poset(boolean):
     return PartitionPoset(boolean, tuple(ats), tuple(parts), FinitePoset(leq, names))
 
 
-def partition_system(base, pp, limit=POWER_LIMIT):
+def partition_system(base, pp, limit=PRODUCT_LIMIT):
     """The inductive system of block-indexed direct powers over a partition
     poset, glued by block-refinement maps."""
     boolean = pp.boolean
@@ -661,7 +671,7 @@ def partition_system(base, pp, limit=POWER_LIMIT):
     return validate_system(InductiveSystem(pp.poset, algebras, maps))
 
 
-def check_boolean_power_preservation(base, boolean, limit=POWER_LIMIT):
+def check_boolean_power_preservation(base, boolean, limit=PRODUCT_LIMIT):
     """Searched isomorphism between the reticulation of a Boolean power and
     the Boolean power of the reticulation."""
     left = reticulate(boolean_power(base, boolean, limit=limit).algebra).lattice

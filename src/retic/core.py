@@ -5,13 +5,17 @@ Each binary operation is an n x n table, stored as a read-only numpy array
 with rows indexed by the left argument.  The order is not stored: it is
 derived from join (a <= b iff a v b = b).
 
-Validation is eager and total.  ``validate_rl`` / ``validate_bdl`` are the
-only constructors; they scan every defining law over all tuples and raise a
-*Violation error carrying a witness tuple on the first failure.  The laws in
-three variables are scanned in slabs of the first argument, so memory stays
-O(n^2) and the witness is the first failing triple in row-major order.
-Consequently any instance in circulation satisfies its axioms, and all
-downstream code may assume so.
+Every host in circulation is either scanned or certified.  ``validate_rl`` /
+``validate_bdl`` take raw tables (parsed files, user input) and scan every
+defining law over all tuples, raising a *Violation error carrying a witness
+tuple on the first failure.  The laws in three variables are scanned in
+slabs of the first argument, so memory stays O(n^2) and the witness is the
+first failing triple in row-major order.  ``_certified`` is the constructor
+for tables that retic derives from hosts already in circulation: both kinds
+form varieties, closed under subalgebras, products and homomorphic images,
+so in place of the O(n^3) scans it checks, in O(n^2), a certificate that the
+tables arise that way.  Consequently any instance in circulation satisfies
+its axioms, and all downstream code may assume so.
 Instances are immutable; all functions here are pure.
 """
 
@@ -26,6 +30,7 @@ from .errors import (
     DistributivityViolation,
     LatticeLawViolation,
     MonoidLawViolation,
+    NotClosed,
     NotPseudocomplemented,
     OperationNotPreserved,
     ResiduationViolation,
@@ -73,7 +78,7 @@ def _first_bad_triple(n, slab_mask):
 
 
 def _as_table(raw, n, name):
-    t = np.asarray(raw, dtype=np.int64)
+    t = np.array(raw, dtype=np.int64)  # a copy: the caller's array stays writeable
     if t.shape != (n, n):
         raise TableShapeError(f"{name} table must be {n}x{n}, got shape {t.shape}")
     if n and ((t < 0) | (t >= n)).any():
@@ -112,6 +117,11 @@ def _check_bounded_lattice(join, meet, bot, top):
     ab2 = meet[ar[:, None], join] != ar[:, None]  # a ^ (a v b) = a
     if ab2.any():
         raise LatticeLawViolation("absorption a ^ (a v b) = a fails", _witness(ab2))
+    _check_bounds(join, meet, bot, top)
+
+
+def _check_bounds(join, meet, bot, top):
+    ar = np.arange(join.shape[0])
     if (join[bot] != ar).any():
         raise LatticeLawViolation("declared bottom is not least", _witness(join[bot] != ar))
     if (meet[top] != ar).any():
@@ -201,13 +211,11 @@ class _FiniteLattice:
         """Isomorphic copy with element i renumbered to perm[i]."""
         p = np.asarray(perm, dtype=np.int64)
         inv = np.argsort(p)
-        args = {
-            name: p[t[np.ix_(inv, inv)]] for name, t in self.op_tables().items()
-        }
         names = tuple(self.names[inv[k]] for k in range(self.n))
-        if self.kind == KIND_RL:
-            return validate_rl(bot=int(p[self.bot]), top=int(p[self.top]), names=names, **args)
-        return validate_bdl(bot=int(p[self.bot]), top=int(p[self.top]), names=names, **args)
+        # certified by the inverse permutation, an injective map back onto self
+        copy, _ = _certified(self.kind, _induced_tables(self.op_tables(), inv, p),
+                             int(p[self.bot]), int(p[self.top]), names, into=[(self, inv)])
+        return copy
 
 
 class FiniteBoundedLattice(_FiniteLattice):
@@ -299,6 +307,85 @@ def validate_rl(join, meet, mul, imp, bot, top, names=None):
     if bad:
         raise ResiduationViolation("a <= imp(b, c) iff mul(a, b) <= c fails", bad)
     return FiniteResiduatedLattice(join, meet, mul, imp, bot, top, _names_tuple(names, n))
+
+
+def _induced_tables(tables, elements, renumber):
+    """``renumber[t[a, b]]`` for a, b in ``elements``, for each table ``t``:
+    the tables a construction induces on the chosen elements of a host."""
+    sel = np.asarray(elements, dtype=np.int64)
+    return {name: renumber[t[np.ix_(sel, sel)]] for name, t in tables.items()}
+
+
+def _certified(kind, tables, bot, top, names, into=None, onto=None, idempotents=None):
+    """Wrap tables derived from validated hosts, checking in O(n^2) one
+    certificate in place of the law scans of ``validate_rl``/``validate_bdl``:
+
+    * ``into``, pairs (target, map): homomorphisms of ``kind`` into
+      validated targets, jointly injective, so the host is a subalgebra of
+      their product (products, Boolean powers, subalgebras, copies);
+    * ``onto``, a pair (source, map): a surjective homomorphism from a
+      validated source, so the host is a homomorphic image (quotients);
+    * ``idempotents``, (source, elements, index, ops): a lattice read off
+      the idempotents E of a validated source.  E is closed under v and the
+      semigroup product, as (e v f)^2 = e v f, and on E the product is the
+      meet and distributes over v, so E under the two, or its order dual,
+      is a bounded distributive lattice.  Checked: ``elements`` are
+      distinct idempotents, closed under each source table of ``ops``
+      (keyed by the lattice operation it carries), ``index`` (source
+      element -> lattice index) inverts them and transports each table,
+      and the bounds.
+
+    Returns the host and the certified morphisms.  A failed certificate
+    raises OperationNotPreserved or NotClosed with a witness.
+    """
+    n = len(tables["join"])
+    tables = {name: _as_table(t, n, name) for name, t in tables.items()}
+    bot, top = int(bot), int(top)
+    if not (0 <= bot < n and 0 <= top < n):
+        raise TableShapeError("bot/top out of range")
+    names = _names_tuple(names, n)
+    if kind == KIND_RL:
+        host = FiniteResiduatedLattice(bot=bot, top=top, names=names, **tables)
+    else:
+        host = FiniteBoundedLattice(tables["join"], tables["meet"], bot, top, names)
+    if into is not None:
+        maps = tuple(morphism(host, target, m, kind) for target, m in into)
+        # with no maps, every element has the same (empty) image
+        keys = np.stack([m.map for m in maps] or [np.zeros(n, dtype=np.int64)], axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        twin = first[inverse.ravel()]  # least element with the same images
+        clash = np.flatnonzero(twin != np.arange(n))
+        if clash.size:
+            b = int(clash[0])
+            raise OperationNotPreserved("maps are not jointly injective", op="injectivity",
+                                        witness=(int(twin[b]), b))
+        return host, maps
+    if onto is not None:
+        source, m = onto
+        cover = morphism(source, host, m, kind)
+        missed = np.flatnonzero(np.bincount(cover.map, minlength=n) == 0)
+        if missed.size:
+            raise OperationNotPreserved("map is not surjective", op="surjectivity",
+                                        witness=(int(missed[0]),))
+        return host, (cover,)
+    source, e, index, ops = idempotents
+    e = np.asarray(e, dtype=np.int64)
+    s = source.semigroup
+    bad = (s[e, e] != e) | (index[e] != np.arange(n))
+    if bad.any():
+        raise NotClosed("lattice elements are not distinct idempotents", _witness(bad))
+    for name, t in ops.items():
+        r = t[np.ix_(e, e)]
+        bad = e[index[r]] != r
+        if bad.any():
+            raise NotClosed(f"idempotents are not closed under the {name} operation",
+                            _witness(bad))
+        bad = tables[name] != index[r]
+        if bad.any():
+            raise OperationNotPreserved(f"{name} table does not transport its operation",
+                                        op=name, witness=_witness(bad))
+    _check_bounds(host.join, host.meet, bot, top)
+    return host, ()
 
 
 def require_host(x):
@@ -682,17 +769,20 @@ def check_arithmetic(host):
     """
     J, M, P, I = host.join, host.meet, host.mul, host.imp
     L = host.leq
+    j, p = _narrow(J), _narrow(P)
     out = {}
 
-    bad = P[:, J] != J[P[:, :, None], P[:, None, :]]
-    out["mul_distributes_over_join"] = (not bad.any(), _witness(bad) if bad.any() else None)
+    bad = _first_bad_triple(host.n, lambda lo, hi: (
+        p[lo:hi][:, j] != j[p[lo:hi, :, None], p[lo:hi, None, :]]))
+    out["mul_distributes_over_join"] = (bad is None, bad)
 
     bad = (J == host.top) & (P != M)
     out["join_top_makes_mul_meet"] = (not bad.any(), _witness(bad) if bad.any() else None)
 
-    mono = L[P[:, None, :], P[None, :, :]]  # [a,b,c] = mul(a,c) <= mul(b,c)
-    bad = L[:, :, None] & ~mono
-    out["mul_monotone"] = (not bad.any(), _witness(bad) if bad.any() else None)
+    # [a,b,c]: a <= b but mul(a,c) <= mul(b,c) fails
+    bad = _first_bad_triple(host.n, lambda lo, hi: (
+        L[lo:hi, :, None] & ~L[p[lo:hi, None, :], p[None, :, :]]))
+    out["mul_monotone"] = (bad is None, bad)
 
     bad = L != (I == host.top)
     out["order_is_imp_top"] = (not bad.any(), _witness(bad) if bad.any() else None)

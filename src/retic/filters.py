@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import KIND_RL, _freeze, morphism, per_host, require_host, validate_bdl, validate_rl
+from .core import KIND_BDL, KIND_RL, _certified, _freeze, _induced_tables, per_host, require_host
 from .errors import NotClosed, SizeLimitExceeded
 
 SUBSET_SCAN_LIMIT = 20
@@ -173,15 +173,16 @@ def all_filters(host):
     """Every filter, ↑e for each idempotent e, and the filter lattice.
 
     Meet is ↑(e ∨ f) and join is ↑(e·f), read off the idempotent core; the
-    lattice is validated like any other.  Cached on the host instance.
+    lattice is the order dual of the idempotents under ∨ and ·, certified
+    as such.  Cached on the host instance.
     """
     core = idempotent_core(host)
     e = core.idempotents
-    join = core.index[host.semigroup[np.ix_(e, e)]]
-    meet = core.index[host.join[np.ix_(e, e)]]
-    lattice = validate_bdl(join, meet,
-                           bot=core.index[host.top], top=core.index[host.bot],
-                           names=[repr(f) for f in core.filters])
+    ops = {"join": host.semigroup, "meet": host.join}
+    lattice, _ = _certified(KIND_BDL, _induced_tables(ops, e, core.index),
+                            core.index[host.top], core.index[host.bot],
+                            [repr(f) for f in core.filters],
+                            idempotents=(host, e, core.index, ops))
     return FilterLattice(host, core.filters, lattice)
 
 
@@ -262,13 +263,9 @@ def quotient_rl(host, filt):
     ind = f.indicator()
     rel = ind[host.biimp_table]
     reps, cls_of = _classes_from_relation(rel)
-    tables = {
-        name: cls_of[t[np.ix_(reps, reps)]]
-        for name, t in host.op_tables().items()
-    }
-    q = validate_rl(bot=int(cls_of[host.bot]), top=int(cls_of[host.top]),
-                    names=_quotient_names(host, reps, cls_of), **tables)
-    proj = morphism(host, q, cls_of, KIND_RL)
+    q, (proj,) = _certified(KIND_RL, _induced_tables(host.op_tables(), reps, cls_of),
+                            cls_of[host.bot], cls_of[host.top],
+                            _quotient_names(host, reps, cls_of), onto=(host, cls_of))
     return q, proj
 
 
@@ -283,11 +280,7 @@ def quotient_lattice(lattice, filt):
     me = lattice.meet[:, idx]
     rel = (me[:, None, :] == me[None, :, :]).any(axis=2)
     reps, cls_of = _classes_from_relation(rel)
-    tables = {
-        name: cls_of[t[np.ix_(reps, reps)]]
-        for name, t in lattice.op_tables().items()
-    }
-    q = validate_bdl(bot=int(cls_of[lattice.bot]), top=int(cls_of[lattice.top]),
-                     names=_quotient_names(lattice, reps, cls_of), **tables)
-    proj = morphism(lattice, q, cls_of, q.kind)
+    q, (proj,) = _certified(lattice.kind, _induced_tables(lattice.op_tables(), reps, cls_of),
+                            cls_of[lattice.bot], cls_of[lattice.top],
+                            _quotient_names(lattice, reps, cls_of), onto=(lattice, cls_of))
     return q, proj

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KIND_BDL, find_isomorphism, invert, morphism, per_host, validate_bdl
+from .core import KIND_BDL, _certified, _induced_tables, find_isomorphism, invert, morphism, per_host
 from .errors import OperationNotPreserved
 from .filters import (
     Filter,
@@ -64,12 +64,13 @@ def reticulate(host):
     cls = np.zeros(len(core.filters), dtype=np.int64)
     cls[pf[rep]] = np.arange(len(rep))
     lam = cls[pf]
-    join = lam[host.join[np.ix_(rep, rep)]]
-    meet = lam[host.mul[np.ix_(rep, rep)]]
     reps = tuple(int(r) for r in rep)
-    lattice = validate_bdl(join, meet,
-                           bot=int(lam[host.bot]), top=int(lam[host.top]),
-                           names=[f"<{host.names[r]}>" for r in reps])
+    # L(A) is the idempotents under ∨ and ·, certified as such
+    ops = {"join": host.join, "meet": host.mul}
+    lattice, _ = _certified(KIND_BDL, _induced_tables(ops, rep, lam),
+                            lam[host.bot], lam[host.top],
+                            [f"<{host.names[r]}>" for r in reps],
+                            idempotents=(host, core.stable[rep], lam, ops))
     return Reticulation(host, lattice, lam, reps,
                         tuple(core.filters[pf[r]].members for r in reps))
 

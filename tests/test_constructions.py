@@ -1,5 +1,7 @@
 """Products, subalgebras, colimits, Boolean powers, partition systems."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from retic import (
     subalgebra,
 )
 from retic.constructions import (
+    PRODUCT_LIMIT,
     FinitePoset,
     InductiveSystem,
     atoms,
@@ -266,6 +269,22 @@ def test_boolean_power_guards():
         boolean_power(godel_chain(2), lattice_reduct(godel_chain(3)))
     with pytest.raises(SizeLimitExceeded):
         boolean_power(godel_chain(4), powerset_lattice(3), limit=20)
+
+
+def test_powers_share_the_product_guard():
+    # a power allocates the tables of a product, so one guard serves both;
+    # it is tested through ``limit=`` and never builds a large power
+    for fn in (direct_product, boolean_power, partition_system,
+               check_boolean_power_preservation):
+        assert inspect.signature(fn).parameters["limit"].default == PRODUCT_LIMIT
+    c3, b4 = godel_chain(3), powerset_lattice(2)
+    assert boolean_power(c3, b4, limit=9).algebra.n == 9
+    with pytest.raises(SizeLimitExceeded):
+        boolean_power(c3, b4, limit=8)
+    with pytest.raises(SizeLimitExceeded):
+        check_boolean_power_preservation(c3, b4, limit=8)
+    with pytest.raises(SizeLimitExceeded):
+        partition_system(c3, partition_poset(b4), limit=8)
 
 
 def test_boolean_power_trivial_exponent():

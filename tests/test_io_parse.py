@@ -3,13 +3,14 @@
 ``loads`` maps whole table rows through a name -> index dict and falls
 back to the column-tracking tokenizer only to report an unknown element.
 ``dumps`` pads each name once.  The per-entry formatter kept below is the
-reference route for the text it must reproduce byte for byte, and a
-seeded fuzz run checks that a malformed document fails only with typed
-retic errors.
+reference route for the text it must reproduce byte for byte, and seeded
+fuzz runs check that a malformed algebra or system document fails only
+with typed retic errors.
 """
 
 import glob
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from retic import direct_product, fixture_library, io, kowalski6
-from retic.errors import ParseError, ValidationError
+from retic.errors import InvalidSystem, ParseError, ValidationError
 
 FIXDIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
 RL_TEXTS = [open(p, encoding="utf-8").read()
@@ -82,12 +83,17 @@ def test_round_trip_of_large_product(product):
 _NAMES = ["0", "1", "a", "b", "zz", "table", "join", "elements", "#", "x1"]
 
 
-def _mutate(text, ops):
+def _mutate(text, ops, renamed=None):
+    """Apply token edits to ``text``; ``renamed`` limits renaming to the
+    lines whose first token it names."""
     lines = text.splitlines()
     for op, i, j, name in ops:
-        if not lines:
-            break
-        k = i % len(lines)
+        rows = range(len(lines))
+        if op == "rename" and renamed is not None:
+            rows = [k for k in rows if lines[k].split()[:1] and lines[k].split()[0] in renamed]
+        if not rows:
+            continue
+        k = rows[i % len(rows)]
         toks = lines[k].split()
         if not toks:
             continue
@@ -118,4 +124,40 @@ def test_mutated_fixture_fails_typed(text, ops):
     try:
         io.loads(_mutate(text, ops))
     except (ParseError, ValidationError):
+        pass
+
+
+SYSTEM_TEXT = open(os.path.join(FIXDIR, "projection.isys"), encoding="utf-8").read()
+_SYSTEM_NAMES = ["p", "q", "0/F", "a/F", "b/F", "c/F", "0", "a", "zz", "map", "order"]
+# a map line has nine tokens; a narrow range spreads the edits over all of them
+_system_op = st.tuples(st.sampled_from(["drop", "duplicate", "rename", "truncate"]),
+                       st.integers(0, 10**4), st.integers(0, 8),
+                       st.sampled_from(_SYSTEM_NAMES))
+
+
+@pytest.fixture(scope="module")
+def system_dir(tmp_path_factory):
+    '''A directory holding the algebra files that projection.isys names.'''
+    d = tmp_path_factory.mktemp("isys")
+    for name in ("kowalski6.rl", "kowalski6_mod_a.rl"):
+        shutil.copy(os.path.join(FIXDIR, name), d / name)
+    return d
+
+
+def test_shipped_system_loads(system_dir):
+    path = system_dir / "projection.isys"
+    path.write_text(SYSTEM_TEXT, encoding="utf-8")
+    assert len(io.load_system(str(path)).algebras) == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(_system_op, min_size=1, max_size=4))
+def test_mutated_system_fails_typed(system_dir, ops):
+    # file names are never renamed: a missing algebra file is an OSError
+    path = system_dir / "projection.isys"
+    path.write_text(_mutate(SYSTEM_TEXT, ops, renamed={"map"}), encoding="utf-8")
+    try:
+        io.load_system(str(path))
+    except (ParseError, ValidationError, InvalidSystem):
         pass

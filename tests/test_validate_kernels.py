@@ -1,10 +1,12 @@
 """Slab scans of the triple laws against the whole-cube reference routes.
 
 ``validate_rl`` and ``validate_bdl`` scan associativity, distributivity and
-residuation in slabs of the first argument.  The reference routes below are
-the n^3 expressions the scans replaced; the raised exception must match
-theirs in type, message and witness (the first bad triple in row-major
-order), and the scans must stay within O(n^2) memory.
+residuation in slabs of the first argument, and ``check_arithmetic`` scans
+its distributivity and monotonicity clauses the same way.  The reference
+routes below are the n^3 expressions the scans replaced; the raised
+exception (or the clause) must match theirs in type, message and witness
+(the first bad triple in row-major order), and the scans must stay within
+O(n^2) memory.
 """
 
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 
 from retic import boolean_power, direct_product, fixture_library, godel_chain, powerset_lattice
 from retic import core
-from retic.core import validate_bdl, validate_rl
+from retic.core import FiniteResiduatedLattice, check_arithmetic, validate_bdl, validate_rl
 from retic.errors import (
     DistributivityViolation,
     LatticeLawViolation,
@@ -44,6 +46,22 @@ def _ref_distrib(join, meet):
 def _ref_resid(join, mul, imp):
     leq = join == np.arange(len(join))[None, :]
     return _first(leq[:, imp] != leq[mul])
+
+
+def _ref_arithmetic(host):
+    '''The clauses of ``check_arithmetic``, from whole-cube expressions.'''
+    J, M, P, I = host.join, host.meet, host.mul, host.imp
+    L = host.leq
+    out = {}
+    masks = {
+        "mul_distributes_over_join": P[:, J] != J[P[:, :, None], P[:, None, :]],
+        "join_top_makes_mul_meet": (J == host.top) & (P != M),
+        "mul_monotone": L[:, :, None] & ~L[P[:, None, :], P[None, :, :]],
+        "order_is_imp_top": L != (I == host.top),
+    }
+    for name, bad in masks.items():
+        out[name] = (not bad.any(), _first(bad) if bad.any() else None)
+    return out
 
 
 # -- corrupted hosts ----------------------------------------------------------
@@ -158,6 +176,28 @@ def test_small_distributivity_witness_matches_reference(rows, monkeypatch):
         "a ^ (b v c) = (a ^ b) v (a ^ c) fails", witness)
 
 
+def test_arithmetic_matches_reference_on_corpus(corpus):
+    for label, host in corpus:
+        assert check_arithmetic(host).clauses == _ref_arithmetic(host), label
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_arithmetic_witness_matches_reference(rows, monkeypatch):
+    # the corrupted product breaks distributivity first at a = 4 and
+    # monotonicity first at a = 6, so both witnesses lie past the first slab
+    g = godel_chain(8)
+    if rows is not None:
+        monkeypatch.setattr(core, "SLAB_CELLS", rows * g.n * g.n)
+    t = _corrupt(_tables(g), "mul")
+    host = FiniteResiduatedLattice(t["join"], t["meet"], t["mul"], t["imp"],
+                                   g.bot, g.top, g.names)
+    ref = _ref_arithmetic(host)
+    for clause in ("mul_distributes_over_join", "mul_monotone"):
+        ok, witness = ref[clause]
+        assert not ok and witness[0] >= (rows or 1), clause
+    assert check_arithmetic(host).clauses == ref
+
+
 def test_stored_tables_stay_frozen_int64(product):
     for t in product.op_tables().values():
         assert t.dtype == np.int64 and not t.flags.writeable
@@ -179,6 +219,11 @@ def test_validate_memory_is_quadratic(product):
     # one n^3 boolean cube alone is 13 MiB at n = 240
     tables = _tables(product)
     peak = _peak_mib(lambda: validate_rl(bot=product.bot, top=product.top, **tables))
+    assert peak < 8, peak
+
+
+def test_arithmetic_memory_is_quadratic(product):
+    peak = _peak_mib(lambda: check_arithmetic(product))
     assert peak < 8, peak
 
 
