@@ -21,6 +21,7 @@ Instances are immutable; all functions here are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
@@ -44,6 +45,7 @@ KIND_BDL = "bounded-lattice"
 
 ISO_SEARCH_LIMIT = 64  # default carrier bound for isomorphism search
 SLAB_CELLS = 1 << 20   # cells per slab of a triple scan; bounds its memory
+SUBSET_SCAN_BITS = 24  # largest carrier of a subset scan: 128 MiB per array
 
 
 def _freeze(a):
@@ -164,7 +166,9 @@ class _FiniteLattice:
     @cached_property
     def covers(self):
         '''covers[a, b] is True iff b covers a (a < b with nothing between).'''
-        lt = self.lt.astype(np.int8)
+        # counts of elements strictly between a and b; float32 is exact up
+        # to 2^24 and runs on BLAS, an int8 product wraps at 128
+        lt = self.lt.astype(np.float32)
         return _freeze(self.lt & ~((lt @ lt) > 0))
 
     @cached_property
@@ -413,6 +417,45 @@ def per_host(build):
         return got
 
     return get
+
+
+# -- subset scans ---------------------------------------------------------
+# The exhaustive oracles visit every subset of a carrier of n <= 20
+# elements.  A subset is the int64 bitmask with bit a set for each member
+# a, and a subset-indexed quantity is one array over all 2^n masks.
+
+
+def _bitmasks(rows):
+    '''Row i of a boolean matrix as the bitmask of its True columns.'''
+    return rows.astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
+
+
+def _subset_fold(cols, start, op):
+    """out[mask] = start op cols[a] op ... over the members a of mask, for
+    all 2^len(cols) masks at once.
+
+    Built by doubling: after column a, the upper half of the array holds
+    the masks with bit a set, each the lower half combined with cols[a].
+    """
+    if len(cols) > SUBSET_SCAN_BITS:
+        raise SizeLimitExceeded(
+            f"a scan of all subsets of {len(cols)} elements exceeds the bound "
+            f"of {SUBSET_SCAN_BITS} elements", SUBSET_SCAN_BITS)
+    out = np.array([start], dtype=np.int64)
+    for c in cols:
+        out = np.concatenate([out, op(out, c)])
+    return out
+
+
+def _first_subset(n, bad):
+    """The first subset of 0..n-1, in (size, itertools.combinations)
+    order, whose mask is set in ``bad``, as a tuple; None when none is."""
+    if not bad.any():
+        return None
+    for r in range(n + 1):
+        for pick in itertools.combinations(range(n), r):
+            if bad[sum(1 << a for a in pick)]:
+                return pick
 
 
 # -- pointwise helpers ----------------------------------------------------

@@ -9,7 +9,9 @@ the filters are exactly the ↑e for e in E = {e : e·e = e}, and on E
 and the stable powers once per host; ``all_filters``, the filter-lattice
 tables, ``generated_filter``, ``principal_filter`` and ``filter_join`` are
 lookups into it.  ``filters_subset_scan`` ignores all this and tests every
-subset, serving as the correctness oracle at small sizes.
+subset, serving as the correctness oracle at small sizes: it reads the
+up-closed subsets off one int64 bitmask array over all 2^n subsets and
+tests only those for closure under the product.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import reduce
 
 import numpy as np
 
-from .core import KIND_BDL, KIND_RL, _certified, _freeze, _induced_tables, per_host, require_host
+from .core import (KIND_BDL, KIND_RL, _bitmasks, _certified, _freeze, _induced_tables,
+                   _subset_fold, per_host, require_host)
 from .errors import NotClosed, SizeLimitExceeded
 
 SUBSET_SCAN_LIMIT = 20
@@ -187,17 +190,20 @@ def all_filters(host):
 
 
 def filters_subset_scan(host, limit=SUBSET_SCAN_LIMIT):
-    """Oracle: test all 2ⁿ subsets for filterhood.  Exponential."""
+    """Oracle: test all 2ⁿ subsets for filterhood.  Exponential.
+
+    The up-closed subsets are read off one bitmask array over all subsets
+    (the union of the members' up-sets must add nothing); only those are
+    tested for closure under the product.
+    """
     if host.n > limit:
         raise SizeLimitExceeded(f"subset scan bound {limit} exceeded (n={host.n})", limit)
-    t = host.semigroup
-    up_bits = [int(sum(1 << b for b in np.flatnonzero(host.leq[a]))) for a in range(host.n)]
+    t = host.semigroup.tolist()
+    up = _subset_fold(_bitmasks(host.leq), 0, np.bitwise_or)
     out = []
-    for mask in range(1, 1 << host.n):
+    for mask in np.flatnonzero((up & ~np.arange(up.size)) == 0)[1:].tolist():
         bits = [a for a in range(host.n) if mask >> a & 1]
-        if any(up_bits[a] & ~mask for a in bits):
-            continue
-        if all(mask >> int(t[a, b]) & 1 for a in bits for b in bits):
+        if all(mask >> t[a][b] & 1 for a in bits for b in bits):
             out.append(frozenset(bits))
     return sorted(out, key=_filter_sort_key)
 
@@ -230,21 +236,13 @@ def principal_meet_is_join(host):
 def _classes_from_relation(rel):
     """Partition 0..n-1 by an equivalence matrix; classes sorted by least
     member, which also serves as the representative."""
-    n = rel.shape[0]
     if (rel != rel.T).any() or not rel.diagonal().all():
         raise AssertionError("relation is not reflexive-symmetric")
-    r = rel.astype(np.int8)
-    closed = rel | ((r @ r) > 0)
-    if (closed != rel).any():
+    # an equivalence is the kernel of the map to each row's least member
+    least = rel.argmax(axis=1)
+    if (rel != (least[:, None] == least[None, :])).any():
         raise AssertionError("relation is not transitive")
-    reps = []
-    cls_of = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        if cls_of[a] < 0:
-            members = np.flatnonzero(rel[a])
-            cls_of[members] = len(reps)
-            reps.append(a)
-    return np.array(reps, dtype=np.int64), cls_of
+    return np.unique(least, return_inverse=True)
 
 
 def _quotient_names(host, reps, cls_of):

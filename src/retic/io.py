@@ -250,7 +250,11 @@ def load_system(path):
             if label in labels:
                 raise ParseError(f"duplicate index {label!r}", ln, rest[0][0])
             labels.append(label)
-            algebras.append(load(os.path.join(base, rest[1][1])).algebra)
+            col, fname = rest[1]
+            try:
+                algebras.append(load(os.path.join(base, fname)).algebra)
+            except OSError as exc:
+                raise ParseError(f"cannot read {fname!r}: {exc.strerror}", ln, col) from None
         elif head == "order":
             if len(rest) != 2:
                 raise ParseError("order takes two labels", ln, col0)

@@ -7,8 +7,11 @@ members; on a finite host the family of all co-annihilators is therefore
 the intersection closure of the singleton ones plus the full carrier.
 Each co-annihilator is a principal filter ↑g, so that closure, and the
 m-Stone clauses built on it, run on the least elements g.  This is the
-default (exact) computation route; the brute-force subset scan survives as
-a guarded oracle.
+default (exact) computation route.  The subset scans survive as guarded,
+exhaustive oracles that ignore it: each computes the co-annihilator of
+every one of the 2^n subsets at once, as an array of int64 bitmasks built
+by doubling (``core._subset_fold``), and walks the subsets in (size,
+combination) order only to name the first failing one.
 
 A host is Stone when every singleton co-annihilator is the principal
 filter of a complemented element, strongly Stone when every co-annihilator
@@ -18,14 +21,14 @@ the same question through the filter lattice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .core import (KIND_BDL, _lattice_tables, boolean_center, morphism, per_host,
-                   pseudocomplement_or_raise, require_host, validate_bdl)
+from .core import (KIND_BDL, _bitmasks, _first_subset, _lattice_tables, _subset_fold,
+                   boolean_center, morphism, per_host, pseudocomplement_or_raise,
+                   require_host, validate_bdl)
 from .errors import (
     InvalidSystem,
     LatticeLawViolation,
@@ -137,15 +140,19 @@ def co_ann_algebra(host):
     return CoAnnihilatorAlgebra(host, filters, lattice, comp)
 
 
+def _coann_masks(host):
+    """Bitmask of the co-annihilator of every subset, indexed by its mask;
+    the empty subset maps to the whole carrier."""
+    cols = _bitmasks((host.join == host.top).T)
+    return _subset_fold(cols, (1 << host.n) - 1, np.bitwise_and)
+
+
 def co_ann_subset_scan(host, limit=COANN_SCAN_LIMIT):
     """Oracle route: distinct co-annihilators over all 2^n subsets."""
     if host.n > limit:
         raise SizeLimitExceeded(f"co-annihilator scan bound {limit} exceeded", limit)
-    out = set()
-    elems = range(host.n)
-    for r in range(host.n + 1):
-        for pick in itertools.combinations(elems, r):
-            out.add(co_annihilator(host, pick).members)
+    out = [frozenset(a for a in range(host.n) if m >> a & 1)
+           for m in np.unique(_coann_masks(host)).tolist()]
     return sorted(out, key=_filter_sort_key)
 
 
@@ -201,13 +208,11 @@ def strongly_stone_subset_scan(host, limit=STRONG_SCAN_LIMIT):
     '''Brute-force oracle over all subsets; witness is the first bad subset.'''
     if host.n > limit:
         raise SizeLimitExceeded(f"strong Stone scan bound {limit} exceeded", limit)
-    allowed = _central_principal_sets(host)
-    for r in range(host.n + 1):
-        for pick in itertools.combinations(range(host.n), r):
-            f = co_annihilator(host, pick)
-            if f.members not in allowed:
-                return StrongStoneVerdict(False, f, frozenset(pick))
-    return StrongStoneVerdict(True, None, None)
+    allowed = [sum(1 << a for a in s) for s in _central_principal_sets(host)]
+    pick = _first_subset(host.n, ~np.isin(_coann_masks(host), allowed))
+    if pick is None:
+        return StrongStoneVerdict(True, None, None)
+    return StrongStoneVerdict(False, co_annihilator(host, pick), frozenset(pick))
 
 
 # -- the five-clause variant ----------------------------------------------
@@ -460,16 +465,14 @@ def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
 
     if host.n <= scan_limit:
         route = "full subset scan"
-        ok, detail = True, None
-        for r_size in range(host.n + 1):
-            for pick in itertools.combinations(range(host.n), r_size):
-                left = _image_set(lam, co_annihilator(host, pick).members)
-                right = co_annihilator(lat, {int(lam[a]) for a in pick}).members
-                if left != right:
-                    ok, detail = False, tuple(host.names[a] for a in pick)
-                    break
-            if not ok:
-                break
+        # λ[X^T] against λ[X]^T in L(A), for every subset X at once
+        image = _subset_fold(1 << lam, 0, np.bitwise_or)
+        lat_cols = _bitmasks((lat.join == lat.top).T)[lam]
+        bad = image[_coann_masks(host)] != _subset_fold(lat_cols, (1 << lat.n) - 1,
+                                                         np.bitwise_and)
+        pick = _first_subset(host.n, bad)
+        ok = pick is None
+        detail = None if ok else tuple(host.names[a] for a in pick)
     else:
         route = "structured (singletons + intersection transport)"
         ok, detail = True, None

@@ -29,6 +29,12 @@ CRITERIA = {
     10: "chains are strongly Stone with trivial co-annihilators",
 }
 
+# the benchmark's products (perfbench/workloads.py), n <= 240
+BENCH_PRODUCTS = [("kowalski6", "iorgulescu5", "chain8"), ("kowalski6", "kowalski6", "chain6"),
+                  ("iorgulescu12", "iorgulescu5", "chain2"), ("iorgulescu12", "chain8"),
+                  ("kowalski6", "iorgulescu12"), ("chain4", "chain4", "chain4"),
+                  ("kowalski6", "kowalski6"), ("iorgulescu5", "chain5")]
+
 
 def _build_corpus():
     """Fixtures plus generated products, powers, quotients, subalgebras."""

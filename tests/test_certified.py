@@ -36,13 +36,11 @@ from retic.errors import LatticeLawViolation, NotClosed, OperationNotPreserved
 from retic.filters import all_filters, quotient_lattice, quotient_rl
 from retic.reticulation import reticulate
 
+from conftest import BENCH_PRODUCTS
+
 LIB = fixture_library()
 
-# the benchmark's products and Boolean powers (perfbench/workloads.py), n <= 240
-BENCH_PRODUCTS = [("kowalski6", "iorgulescu5", "chain8"), ("kowalski6", "kowalski6", "chain6"),
-                  ("iorgulescu12", "iorgulescu5", "chain2"), ("iorgulescu12", "chain8"),
-                  ("kowalski6", "iorgulescu12"), ("chain4", "chain4", "chain4"),
-                  ("kowalski6", "kowalski6"), ("iorgulescu5", "chain5")]
+# the benchmark's Boolean powers (perfbench/workloads.py)
 BENCH_POWERS = [("kowalski6", 3), ("iorgulescu12", 2), ("iorgulescu5", 3), ("chain3", 4),
                 ("chain4", 3), ("kowalski6", 2), ("chain5", 2)]
 

@@ -10,6 +10,7 @@ from retic import (
     direct_product,
     find_isomorphism,
     godel_chain,
+    io,
     iorgulescu5,
     iorgulescu12,
     kowalski6,
@@ -19,6 +20,7 @@ from retic import (
     validate_bdl,
     validate_rl,
 )
+from retic.constructions import atoms
 from retic.core import (
     KIND_BDL,
     KIND_RL,
@@ -43,6 +45,8 @@ from retic.errors import (
     ResiduationViolation,
     TableShapeError,
 )
+
+from conftest import BENCH_PRODUCTS
 
 
 def test_fixtures_validate(library):
@@ -143,6 +147,24 @@ def test_cover_helpers_on_chain():
     assert c.index_of("1") == 4
     with pytest.raises(KeyError):
         c.index_of("zz")
+
+
+@pytest.mark.parametrize("names", BENCH_PRODUCTS, ids="*".join)
+def test_covers_match_an_int32_count(names, library):
+    prod = direct_product([library[x] for x in names]).algebra
+    lt = prod.lt.astype(np.int32)
+    assert np.array_equal(prod.covers, prod.lt & ~((lt @ lt) > 0))
+
+
+def test_covers_of_the_240_element_product(library):
+    # some of its intervals hold more than 127 elements, past an int8 count
+    factors = [library[x] for x in ("chain8", "kowalski6", "iorgulescu5")]
+    prod = direct_product(factors).algebra
+    assert prod.n == 240
+    assert len(atoms(prod)) == sum(len(atoms(f)) for f in factors) == 5
+    # a cover of a product moves one coordinate along a cover of its factor
+    edges = sum(int(f.covers.sum()) * (prod.n // f.n) for f in factors)
+    assert io.export_dot(prod).count("->") == int(prod.covers.sum()) == edges == 690
 
 
 def test_relabel_is_isomorphic():

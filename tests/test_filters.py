@@ -15,6 +15,7 @@ from retic.core import KIND_RL, check_morphism
 from retic.errors import NotClosed, SizeLimitExceeded
 from retic.filters import (
     Filter,
+    _classes_from_relation,
     all_filters,
     as_filter,
     filter_join,
@@ -166,3 +167,19 @@ def test_quotient_lattice_of_chain():
     assert check_morphism(proj).ok
     assert proj.map[3] == proj.map[4]
     assert q.names[q.top] == "x3/F"
+
+
+def test_classes_from_relation():
+    rel = np.eye(5, dtype=bool)
+    for a, b in [(0, 3), (1, 4), (3, 0), (4, 1)]:
+        rel[a, b] = True
+    reps, cls_of = _classes_from_relation(rel)
+    assert reps.tolist() == [0, 1, 2] and cls_of.tolist() == [0, 1, 2, 0, 1]
+    # 0 ~ 1 ~ 2 without 0 ~ 2; and rows that share a least member 0 but
+    # are not related to each other
+    chain = np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool) | np.eye(3, k=-1, dtype=bool)
+    star = np.eye(3, dtype=bool)
+    star[0] = star[:, 0] = True
+    for rel in (chain, star):
+        with pytest.raises(AssertionError, match="not transitive"):
+            _classes_from_relation(rel)

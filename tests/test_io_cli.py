@@ -168,6 +168,12 @@ def test_load_system_errors(tmp_path):
     with pytest.raises(InvalidSystem):
         io.load_system(underivable)
 
+    missing = tmp_path / "missing.isys"
+    missing.write_text("version 1\nkind system\nindex p chain2.rl\nindex q  nope.rl\n")
+    with pytest.raises(ParseError, match="cannot read 'nope.rl'") as err:
+        io.load_system(missing)
+    assert (err.value.line, err.value.col) == (4, 10)
+
 
 # -- DOT export -----------------------------------------------------------
 

@@ -154,9 +154,8 @@ def test_shipped_system_loads(system_dir):
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(_system_op, min_size=1, max_size=4))
 def test_mutated_system_fails_typed(system_dir, ops):
-    # file names are never renamed: a missing algebra file is an OSError
     path = system_dir / "projection.isys"
-    path.write_text(_mutate(SYSTEM_TEXT, ops, renamed={"map"}), encoding="utf-8")
+    path.write_text(_mutate(SYSTEM_TEXT, ops, renamed={"map", "index"}), encoding="utf-8")
     try:
         io.load_system(str(path))
     except (ParseError, ValidationError, InvalidSystem):
