@@ -5,17 +5,32 @@ Each binary operation is an n x n table, stored as a read-only numpy array
 with rows indexed by the left argument.  The order is not stored: it is
 derived from join (a <= b iff a v b = b).
 
-Every host in circulation is either scanned or certified.  ``validate_rl`` /
-``validate_bdl`` take raw tables (parsed files, user input) and scan every
-defining law over all tuples, raising a *Violation error carrying a witness
-tuple on the first failure.  The laws in three variables are scanned in
-slabs of the first argument, so memory stays O(n^2) and the witness is the
-first failing triple in row-major order.  ``_certified`` is the constructor
-for tables that retic derives from hosts already in circulation: both kinds
-form varieties, closed under subalgebras, products and homomorphic images,
-so in place of the O(n^3) scans it checks, in O(n^2), a certificate that the
-tables arise that way.  Consequently any instance in circulation satisfies
-its axioms, and all downstream code may assume so.
+Every host in circulation is either decided or certified.  ``validate_rl``
+/ ``validate_bdl`` take raw tables (parsed files, user input) and decide
+their laws exactly in sub-cubic time, from O(n^2) gathers and bitsets of
+up-sets and down-sets (``_lawful_rl`` / ``_lawful_bdl``).  Four facts make
+that exact:
+
+1. join and meet are the lub and glb of one partial order iff
+   up(a) & up(b) = up(a v b) and down(a) & down(b) = down(a ^ b), given a
+   commutative, idempotent join;
+2. residuation is a Galois connection x -> x.b  -|  c -> b -> c: both maps
+   monotone on cover pairs, a <= b -> a.b and (b -> c).b <= c;
+3. a residuated product preserves joins, so it is associative iff it is
+   associative on the join-irreducibles;
+4. a finite lattice is distributive iff its join-irreducibles are
+   join-prime.
+
+Only when the decision rejects do they scan every law over all tuples, in
+the documented order, to raise a *Violation error carrying the witness of
+the first failure.  The laws in three variables are scanned in slabs of the
+first argument, so memory stays O(n^2) and the witness is the first failing
+triple in row-major order.  ``_certified`` is the constructor for tables
+that retic derives from hosts already in circulation: both kinds form
+varieties, closed under subalgebras, products and homomorphic images, so it
+checks, in O(n^2), a certificate that the tables arise that way.
+Consequently any instance in circulation satisfies its axioms, and all
+downstream code may assume so.
 Instances are immutable; all functions here are pure.
 """
 
@@ -64,29 +79,41 @@ def _narrow(t):
     return t.astype(np.min_scalar_type(len(t) - 1))
 
 
+def _slabs(n, row_cells):
+    '''(lo, hi) bounds of slabs of rows 0..n-1 that hold about SLAB_CELLS
+    cells each, when one row holds ``row_cells``.'''
+    step = max(1, SLAB_CELLS // max(1, row_cells))
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _first_bad_triple(n, slab_mask):
     """First (a, b, c) in row-major order at which a law fails, or None.
 
     ``slab_mask(lo, hi)`` is the (hi - lo) x n x n violation mask of the
     triples with lo <= a < hi; slabs hold about SLAB_CELLS cells each.
     """
-    step = max(1, SLAB_CELLS // (n * n))
-    for lo in range(0, n, step):
-        bad = slab_mask(lo, min(lo + step, n))
+    for lo, hi in _slabs(n, n * n):
+        bad = slab_mask(lo, hi)
         if bad.any():
             a, b, c = _witness(bad)
             return (lo + a, b, c)
     return None
 
 
+def _holds(n, row_cells, slab_ok):
+    '''True iff ``slab_ok(lo, hi)`` holds on every slab of rows 0..n-1.'''
+    if n * row_cells <= SLAB_CELLS:  # one slab
+        return slab_ok(0, n)
+    return all(slab_ok(lo, hi) for lo, hi in _slabs(n, row_cells))
+
+
 def _as_table(raw, n, name):
     t = np.array(raw, dtype=np.int64)  # a copy: the caller's array stays writeable
     if t.shape != (n, n):
         raise TableShapeError(f"{name} table must be {n}x{n}, got shape {t.shape}")
-    if n and ((t < 0) | (t >= n)).any():
-        raise TableShapeError(
-            f"{name} entry out of range 0..{n - 1} at {_witness((t < 0) | (t >= n))}"
-        )
+    bad = t.view(np.uint64) >= n  # negative entries wrap past n
+    if np.count_nonzero(bad):
+        raise TableShapeError(f"{name} entry out of range 0..{n - 1} at {_witness(bad)}")
     return _freeze(t)
 
 
@@ -128,6 +155,117 @@ def _check_bounds(join, meet, bot, top):
         raise LatticeLawViolation("declared bottom is not least", _witness(join[bot] != ar))
     if (meet[top] != ar).any():
         raise LatticeLawViolation("declared top is not greatest", _witness(meet[top] != ar))
+
+
+# -- deciding the laws ------------------------------------------------------
+# Exact sub-cubic decisions of the laws that validate_rl / validate_bdl scan.
+# Up-sets and down-sets are packed into bitsets, a row of uint64 words per
+# element, so a law about sets of elements costs O(n^3 / 64) word
+# operations, run in slabs of about SLAB_CELLS bytes.
+
+
+def _all(mask):
+    '''``mask.all()`` at a fraction of its call overhead on small arrays.'''
+    return np.count_nonzero(mask) == mask.size
+
+
+def _bitsets(rows):
+    '''Each row of a boolean array (over its last axis) as uint64 words.'''
+    k = rows.shape[-1]
+    padded = np.zeros(rows.shape[:-1] + (-(-k // 64) * 64,), dtype=bool)
+    padded[..., :k] = rows
+    return np.packbits(padded, axis=-1).view(np.uint64)
+
+
+def _bounded_order(join, bot, top):
+    """``le`` (a <= b iff a v b = b) and the mask of its O(n^2) conditions:
+    join commutative and idempotent, bot least and top greatest."""
+    ar = np.arange(len(join))
+    le = join == ar
+    return le, (join == join.T) & (le[bot] & le[:, top] & (join.diagonal() == ar))
+
+
+def _lub_glb_sets(join, meet, le):
+    """Up-sets and down-sets [0, a] / [1, a] as bitsets if join and meet are
+    the lub and glb of ``le``, else None; join must be commutative and
+    idempotent.
+
+    Then up(a) & up(b) == up(a v b) for all a, b holds iff join is the lub
+    of a partial order (a <= b gives up(b) = up(a) & up(b), within up(a),
+    so le is transitive), and down(a) & down(b) == down(a ^ b) iff meet is
+    its glb.  Sets must be equal, not of equal size: equal sizes admit a
+    meet that is not commutative.
+    """
+    n = len(join)
+    sets = _bitsets(np.array([le, le.T]))
+    flat, ops = sets.reshape(2 * n, -1), np.array([join, meet + n])
+    if _holds(n, 2 * sets[0].nbytes, lambda lo, hi: _all(
+            (sets[:, lo:hi, None] & sets[:, None]) == flat[ops[:, lo:hi]])):
+        return sets
+    return None
+
+
+def _covers(ups, downs):
+    '''covers[x, y] is True iff y covers x: the interval from x to y has
+    two elements.'''
+    n = len(ups)
+    return np.concatenate([np.bitwise_count(ups[lo:hi, None] & downs).sum(axis=2) == 2
+                           for lo, hi in _slabs(n, ups.nbytes)])
+
+
+def _lawful_bdl(join, meet, bot, top):
+    """True iff ``validate_bdl`` accepts the tables, decided in O(n^3 / 64).
+
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime (j <= a v b gives j <= a or j <= b), that is, iff the
+    elements not above j, a down-set holding bot, are closed under join:
+    iff they are the down-set of their member with the most elements below.
+    """
+    le, ok = _bounded_order(join, bot, top)
+    sets = _lub_glb_sets(join, meet, le) if _all(ok) else None
+    if sets is None:
+        return False
+    # the join-irreducibles are the elements with one lower cover
+    off = ~le[_covers(*sets).sum(axis=0) == 1]
+    peak = np.where(off, le.sum(axis=0), -1).argmax(axis=1)
+    return bool(_all(le[:, peak].T == off))
+
+
+def _lawful_rl(join, meet, mul, imp, bot, top):
+    """True iff ``validate_rl`` accepts the tables, decided in O(n^3 / 64)
+    plus O(|J|^3) for the join-irreducibles J.
+
+    Beyond the lattice, mul must be commutative with unit top, and:
+
+    * residuation is, for each b, the Galois connection x -> x.b  -|
+      c -> b -> c.  It holds iff both maps are monotone on every cover
+      pair (an interval of two elements), a <= b -> a.b and (b -> c).b <= c;
+    * then mul preserves joins and bot in each argument, and every element
+      is the join of the join-irreducibles below it, so mul is associative
+      iff it is associative on J.
+    """
+    n = len(join)
+    ar = np.arange(n)
+    le, ok = _bounded_order(join, bot, top)
+    ok = ok & ((mul == mul.T) & (mul[top] == ar)
+               & le[ar[:, None], imp[ar, mul]]      # a <= b -> a.b
+               & le[mul[imp, ar[:, None]], ar])     # (b -> c).b <= c
+    sets = _lub_glb_sets(join, meet, le) if _all(ok) else None
+    if sets is None:
+        return False
+    covers = _covers(*sets)
+    x, y = np.nonzero(covers)
+    maps = np.concatenate([mul, imp.T], axis=1)  # [x, b] = x.b, [x, n + b] = b -> x
+    if not _holds(len(x), 2 * maps[0].nbytes, lambda lo, hi: _all(
+            le[maps[x[lo:hi]], maps[y[lo:hi]]])):
+        return False
+    irr = np.flatnonzero(covers.sum(axis=0) == 1)
+    p = _narrow(mul)
+    pj = p[:, irr]   # [a, c] = a.c
+    jj = pj[irr]     # [a, b] = a.b
+    # (a.b).c vs a.(b.c)
+    return _holds(len(irr), len(irr) ** 2, lambda lo, hi: _all(
+        pj[jj[lo:hi]] == p[irr[lo:hi]][:, jj]))
 
 
 def _names_tuple(names, n):
@@ -263,7 +401,9 @@ class FiniteResiduatedLattice(_FiniteLattice):
 def validate_bdl(join, meet, bot, top, names=None):
     """Validate tables as a bounded distributive lattice and wrap them.
 
-    Raises LatticeLawViolation or DistributivityViolation with a witness.
+    The laws are decided exactly in sub-cubic time (``_lawful_bdl``); only
+    tables that fail are scanned, to raise LatticeLawViolation or
+    DistributivityViolation with the witness of the first failure.
     """
     join = np.asarray(join)
     n = len(join)
@@ -272,6 +412,8 @@ def validate_bdl(join, meet, bot, top, names=None):
     bot, top = int(bot), int(top)
     if not (0 <= bot < n and 0 <= top < n):
         raise TableShapeError("bot/top out of range")
+    if _lawful_bdl(join, meet, bot, top):
+        return FiniteBoundedLattice(join, meet, bot, top, _names_tuple(names, n))
     _check_bounded_lattice(join, meet, bot, top)
     j, m = _narrow(join), _narrow(meet)
     bad = _first_bad_triple(n, lambda lo, hi: (
@@ -284,9 +426,11 @@ def validate_bdl(join, meet, bot, top, names=None):
 def validate_rl(join, meet, mul, imp, bot, top, names=None):
     """Validate tables as a commutative integral residuated lattice.
 
-    Checks, in order: lattice laws with the declared bounds, commutative
-    monoid laws for ``mul`` with unit top, and the residuation adjunction
-    a <= imp(b, c) iff mul(a, b) <= c over all triples.
+    The laws are decided exactly in sub-cubic time (``_lawful_rl``).  Tables
+    that fail are scanned for a witness; the scan checks, in order: lattice
+    laws with the declared bounds, commutative monoid laws for ``mul`` with
+    unit top, and the residuation adjunction a <= imp(b, c) iff
+    mul(a, b) <= c over all triples.
     """
     join = np.asarray(join)
     n = len(join)
@@ -297,6 +441,8 @@ def validate_rl(join, meet, mul, imp, bot, top, names=None):
     bot, top = int(bot), int(top)
     if not (0 <= bot < n and 0 <= top < n):
         raise TableShapeError("bot/top out of range")
+    if _lawful_rl(join, meet, mul, imp, bot, top):
+        return FiniteResiduatedLattice(join, meet, mul, imp, bot, top, _names_tuple(names, n))
     _check_bounded_lattice(join, meet, bot, top)
     ar = np.arange(n)
     if (mul != mul.T).any():
