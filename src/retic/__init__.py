@@ -21,6 +21,7 @@ from .core import (
     validate_rl,
 )
 from .errors import (
+    InvalidArgument,
     InvalidSystem,
     NotClosed,
     ParseError,

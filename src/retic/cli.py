@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success (and on positive verdicts where a command checks
 one), 1 on failed validation or a negative verdict, 2 on unusable input
-(bad syntax, bad arguments).
+(bad syntax, bad arguments, unreadable files).  Every failure is reported
+as one ``parse error:`` or ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -20,7 +22,7 @@ from .constructions import (
     direct_product,
     powerset_lattice,
 )
-from .errors import ParseError, SizeLimitExceeded, ValidationError
+from .errors import InvalidArgument, ParseError, SizeLimitExceeded, ValidationError
 from .filters import all_filters, generated_filter
 from .fixtures import verify_recorded_facts
 from .reticulation import check_axioms, quotient_comparison, reticulate
@@ -78,7 +80,10 @@ def cmd_filters(args):
 
 def cmd_quotient(args):
     host = _load(args.file)
-    gens = [host.index_of(nm) for nm in args.filter.split(",") if nm]
+    try:
+        gens = [host.index_of(nm) for nm in args.filter.split(",") if nm]
+    except KeyError as exc:
+        raise InvalidArgument(exc.args[0]) from None
     filt = generated_filter(host, gens)
     comp = quotient_comparison(host, filt)
     print("filter: {" + ",".join(filt.labels()) + "}")
@@ -218,9 +223,12 @@ def build_parser():
     return parser
 
 
+# one parser per process: building it costs far more than a parse
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -229,7 +237,7 @@ def main(argv=None):
     except (ValidationError, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ from .core import (
     validate_bdl,
     validate_rl,
 )
-from .errors import InvalidSystem, NotClosed, SizeLimitExceeded
+from .errors import InvalidArgument, InvalidSystem, NotClosed, SizeLimitExceeded
 from .filters import all_filters, principal_filter, quotient_lattice, quotient_rl
 from .reticulation import (
     Reticulation,
@@ -498,6 +498,8 @@ _ATOM_LETTERS = "pqrstu"
 
 def powerset_lattice(k):
     """The Boolean algebra with k atoms as a validated bounded lattice."""
+    if k < 0:
+        raise InvalidArgument(f"the number of atoms must be at least 0, got {k}")
     if k > len(_ATOM_LETTERS):
         raise SizeLimitExceeded(f"at most {len(_ATOM_LETTERS)} atoms supported",
                                 len(_ATOM_LETTERS))

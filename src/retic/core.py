@@ -213,6 +213,28 @@ def _covers(ups, downs):
                            for lo, hi in _slabs(n, ups.nbytes)])
 
 
+def _within(a, b):
+    '''[i, j] is True iff row i of boolean ``a`` is a subset of row j of
+    boolean ``b``, as bitsets in slabs of about SLAB_CELLS bytes.'''
+    sa, outside = _bitsets(a), ~_bitsets(b)
+    return np.concatenate([~(sa[lo:hi, None] & outside).any(axis=2)
+                           for lo, hi in _slabs(len(sa), outside.nbytes)])
+
+
+def _row_keys(rows):
+    '''Each row of a boolean matrix as one opaque value, equal for equal
+    rows.'''
+    packed = np.packbits(rows, axis=1)
+    return packed.view(f"V{packed.shape[1]}").ravel()
+
+
+def _row_index(rows, table):
+    '''For each row of ``rows``, the index of the first equal row of
+    ``table``, or -1 where there is none.'''
+    same = _row_keys(rows)[:, None] == _row_keys(table)
+    return np.where(same.any(axis=1), same.argmax(axis=1), -1)
+
+
 def _lawful_bdl(join, meet, bot, top):
     """True iff ``validate_bdl`` accepts the tables, decided in O(n^3 / 64).
 
@@ -323,7 +345,7 @@ class _FiniteLattice:
         return tuple(i for i in range(self.n) if int(self.covers[:, i].sum()) == 1)
 
     def upset(self, a):
-        return frozenset(np.flatnonzero(self.leq[a]).tolist())
+        return frozenset(self.leq[a].nonzero()[0].tolist())
 
     # -- conveniences ----------------------------------------------------
 
@@ -463,7 +485,7 @@ def _induced_tables(tables, elements, renumber):
     """``renumber[t[a, b]]`` for a, b in ``elements``, for each table ``t``:
     the tables a construction induces on the chosen elements of a host."""
     sel = np.asarray(elements, dtype=np.int64)
-    return {name: renumber[t[np.ix_(sel, sel)]] for name, t in tables.items()}
+    return {name: renumber[t[sel[:, None], sel]] for name, t in tables.items()}
 
 
 def _certified(kind, tables, bot, top, names, into=None, onto=None, idempotents=None):
@@ -525,7 +547,7 @@ def _certified(kind, tables, bot, top, names, into=None, onto=None, idempotents=
     if bad.any():
         raise NotClosed("lattice elements are not distinct idempotents", _witness(bad))
     for name, t in ops.items():
-        r = t[np.ix_(e, e)]
+        r = t[e[:, None], e]
         bad = e[index[r]] != r
         if bad.any():
             raise NotClosed(f"idempotents are not closed under the {name} operation",
@@ -637,25 +659,27 @@ def _lattice_tables(le):
     """Join and meet tables of the finite partial order ``le``.
 
     The lub of a and b is the common upper bound whose up-set holds all of
-    them, and dually.  Raises ValueError naming the first pair, in
-    row-major order, that lacks a least upper or a greatest lower bound.
+    them, and dually; all pairs are read at once from the cube of common
+    bounds, in slabs of about SLAB_CELLS cells.  Raises ValueError naming
+    the first pair, in row-major order, that lacks a least upper or a
+    greatest lower bound.
     """
     k = le.shape[0]
     join = np.zeros((k, k), dtype=np.int64)
     meet = np.zeros((k, k), dtype=np.int64)
     ups, downs = le.sum(axis=1), le.sum(axis=0)
-    for a in range(k):
-        ub = le[a] & le          # [b, c]: c lies above a and b
-        lb = le[:, a] & le.T     # [b, c]: c lies below a and b
-        lub = ub & (ups == ub.sum(axis=1)[:, None])
-        glb = lb & (downs == lb.sum(axis=1)[:, None])
-        has_j, has_m = lub.any(axis=1), glb.any(axis=1)
-        bad = np.flatnonzero(~(has_j & has_m))
-        if bad.size:
-            b = int(bad[0])
-            bound = "greatest lower" if has_j[b] else "least upper"
-            raise ValueError(f"no {bound} bound for ({a}, {b})")
-        join[a], meet[a] = lub.argmax(axis=1), glb.argmax(axis=1)
+    for lo, hi in _slabs(k, k * k):
+        ub = le[lo:hi, None] & le        # [a, b, c]: c lies above a and b
+        lb = le.T[lo:hi, None] & le.T    # [a, b, c]: c lies below a and b
+        lub = ub & (ups == ub.sum(axis=2)[..., None])
+        glb = lb & (downs == lb.sum(axis=2)[..., None])
+        has_j, has_m = lub.any(axis=2), glb.any(axis=2)
+        bad = ~(has_j & has_m)
+        if bad.any():
+            a, b = _witness(bad)
+            bound = "greatest lower" if has_j[a, b] else "least upper"
+            raise ValueError(f"no {bound} bound for ({lo + a}, {b})")
+        join[lo:hi], meet[lo:hi] = lub.argmax(axis=2), glb.argmax(axis=2)
     return join, meet
 
 
@@ -700,26 +724,25 @@ def boolean_center(host):
 
     Complements are unique here (by residuation arithmetic for the
     residuated kind, by distributivity for the lattice kind), which is
-    asserted rather than assumed.  Cached on the host instance.
+    asserted rather than assumed.  One mask pass: f complements e where
+    e v f = top and e ^ f = bot.  Cached on the host instance.
     """
-    n = host.n
-    comp = {}
-    for e in range(n):
-        cands = np.flatnonzero((host.join[e] == host.top) & (host.meet[e] == host.bot))
-        if cands.size > 1:
-            raise LatticeLawViolation(
-                f"element {host.names[e]} has several complements", tuple(cands.tolist())
-            )
-        if cands.size:
-            comp[e] = int(cands[0])
-    elements = tuple(sorted(comp))
-    for e in elements:
-        for f in elements:
-            if int(host.join[e, f]) not in comp or int(host.meet[e, f]) not in comp:
-                raise LatticeLawViolation(
-                    "boolean center is not closed under join/meet", (e, f)
-                )
-    return BooleanAlgebraView(host, elements, comp)
+    comp = (host.join == host.top) & (host.meet == host.bot)
+    count = comp.sum(axis=1)
+    if count.max() > 1:
+        e = int((count > 1).argmax())
+        raise LatticeLawViolation(f"element {host.names[e]} has several complements",
+                                  tuple(comp[e].nonzero()[0].tolist()))
+    central = count == 1
+    el = central.nonzero()[0]
+    ok = central[host.join[el[:, None], el]] & central[host.meet[el[:, None], el]]
+    if not ok.all():
+        i, j = _witness(~ok)
+        raise LatticeLawViolation("boolean center is not closed under join/meet",
+                                  (int(el[i]), int(el[j])))
+    elements = tuple(el.tolist())
+    return BooleanAlgebraView(host, elements,
+                              dict(zip(elements, comp[el].argmax(axis=1).tolist())))
 
 
 # -- morphisms ------------------------------------------------------------

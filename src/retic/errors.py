@@ -60,6 +60,11 @@ class NotPseudocomplemented(ValidationError):
     """A lattice element lacks a pseudocomplement."""
 
 
+class InvalidArgument(ValueError):
+    """An argument lies outside a function's domain: a negative count, or
+    an element name the host does not have."""
+
+
 class SizeLimitExceeded(Exception):
     """A construction or search would exceed the configured size bound."""
 

@@ -204,9 +204,17 @@ def dumps(algebra, name=None, header=None):
     return "\n".join(out) + "\n"
 
 
-def load(path):
+def _read(path):
+    """The text of a file; bytes that are not UTF-8 raise ParseError."""
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def load(path):
+    return loads(_read(path))
 
 
 def save(algebra, path, name=None, header=None):
@@ -221,8 +229,7 @@ def load_system(path):
     """Read a ``kind system`` file into a validated InductiveSystem."""
     from .constructions import InductiveSystem, poset_from_pairs, validate_system
 
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(path)
     base = os.path.dirname(os.path.abspath(path))
     lines = _significant(text)
     if not lines:

@@ -14,18 +14,19 @@ index generating that filter.  Labels are rendered as "<x>".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KIND_BDL, _certified, _induced_tables, find_isomorphism, invert, morphism, per_host
+from .core import (KIND_BDL, _certified, _induced_tables, _row_index, _within, find_isomorphism,
+                   invert, morphism, per_host)
 from .errors import OperationNotPreserved
 from .filters import (
     Filter,
     all_filters,
     as_filter,
     idempotent_core,
-    principal_filter,
     quotient_lattice,
     quotient_rl,
 )
@@ -102,6 +103,21 @@ def _first_bad(mask):
     return None if idx.size == 0 else tuple(int(v) for v in idx[0])
 
 
+def _image_rows(lam, rows, size):
+    '''Row i marks lam[a] for every member a of row i of boolean ``rows``,
+    over ``size`` classes.'''
+    out = np.zeros((len(rows), size), dtype=bool)
+    i, a = np.nonzero(rows)
+    out[i, lam[a]] = True
+    return out
+
+
+def _filter_rows(host):
+    '''Row i is the indicator of the i-th filter of ``host``, ↑ of the
+    i-th idempotent.'''
+    return host.leq[idempotent_core(host).idempotents]
+
+
 def reticulation_conditions(source, lattice, lam):
     """The five defining conditions plus the three derived laws, checked
     for an arbitrary candidate map into a bounded distributive lattice.
@@ -161,35 +177,24 @@ def check_axioms(host, retic):
     checks["top_preimage_is_top"] = only_top
     checks["bot_preimage_is_nilpotents"] = only_nilpotent
 
-    ok, wit = True, None
-    for f in all_filters(host).filters:
-        image = retic.image_of_subset(f.members)
-        for a in range(host.n):
-            if (int(lam[a]) in image) != (a in f.members):
-                ok, wit = False, (sorted(f.members), a)
-                break
-        if not ok:
-            break
-    checks["filter_membership_transports"] = (ok, wit)
+    # row i of ``image`` is the image of the i-th filter
+    members = _filter_rows(host)
+    image = _image_rows(lam, members, lattice.n)
+    wit = _first_bad(image[:, lam] != members)
+    checks["filter_membership_transports"] = (
+        wit is None, None if wit is None else (sorted(all_filters(host).filters[wit[0]].members),
+                                                wit[1]))
 
-    ok, wit = True, None
-    for a in range(host.n):
-        image = retic.image_of_subset(principal_filter(host, a).members)
-        if image != lattice.upset(int(lam[a])):
-            ok, wit = False, (a,)
-            break
-    checks["principal_filter_image_is_principal"] = (ok, wit)
+    bad = np.flatnonzero((image[idempotent_core(host).index] != lattice.leq[lam]).any(axis=1))
+    checks["principal_filter_image_is_principal"] = (
+        not bad.size, (int(bad[0]),) if bad.size else None)
 
     fs = retic.filter_sets
-    ok, wit = True, None
-    for u in range(lattice.n):
-        for v in range(lattice.n):
-            if bool(lattice.leq[u, v]) != (fs[v] <= fs[u]):
-                ok, wit = False, (u, v)
-                break
-        if not ok:
-            break
-    checks["order_is_reverse_inclusion"] = (ok, wit)
+    sets = np.zeros((len(fs), host.n), dtype=bool)   # row u marks the members of fs[u]
+    sets[np.repeat(np.arange(len(fs)), [len(f) for f in fs]),
+         np.fromiter(itertools.chain.from_iterable(fs), dtype=np.int64)] = True
+    wit = _first_bad(lattice.leq != _within(sets, sets).T)  # [u, v]: fs[v] <= fs[u]
+    checks["order_is_reverse_inclusion"] = (wit is None, wit)
     return AxiomReport(checks)
 
 
@@ -248,10 +253,11 @@ class FilterTransport:
 def transport_filters(retic):
     fa = all_filters(retic.source)
     fl = all_filters(retic.lattice)
-    mapping = np.zeros(len(fa), dtype=np.int64)
-    for i, f in enumerate(fa.filters):
-        image = retic.image_of_subset(f.members)
-        mapping[i] = fl.index_of(image)
+    image = _image_rows(retic.lam, _filter_rows(retic.source), retic.lattice.n)
+    mapping = _row_index(image, _filter_rows(retic.lattice))
+    missing = np.flatnonzero(mapping < 0)
+    if missing.size:   # the image of a filter is not a filter
+        raise KeyError(retic.image_of_subset(fa.filters[missing[0]].members))
     m = morphism(fa.lattice, fl.lattice, mapping, KIND_BDL)
     invert(m)
     return FilterTransport(fa, fl, m)

@@ -17,6 +17,14 @@ A host is Stone when every singleton co-annihilator is the principal
 filter of a complemented element, strongly Stone when every co-annihilator
 is, and the five-clause variant checked by ``m_stone_conditions`` refines
 the same question through the filter lattice.
+
+The verdicts work on membership matrices, one boolean row per filter or
+subset: the co-annihilators of a whole family are one subset test of its
+rows against ``join == top`` (``_coann_rows``), and images under the
+class map are one scatter (``reticulation._image_rows``).  The
+co-annihilator family, the co-annihilators of its members and the m-Stone
+report are cached per host instance (``core.per_host``), so
+``transfer_checks`` reuses what the verdicts on A and L(A) computed.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ from functools import reduce
 
 import numpy as np
 
-from .core import (KIND_BDL, _bitmasks, _first_subset, _lattice_tables, _subset_fold,
-                   boolean_center, morphism, per_host, pseudocomplement_or_raise,
-                   require_host, validate_bdl)
+from .core import (KIND_BDL, _bitmasks, _first_subset, _freeze, _holds, _lattice_tables,
+                   _row_index, _subset_fold, _within, boolean_center, morphism, per_host,
+                   pseudocomplement_or_raise, require_host, validate_bdl)
 from .errors import (
     InvalidSystem,
     LatticeLawViolation,
@@ -42,7 +50,7 @@ from .filters import (
     idempotent_core,
     principal_filter,
 )
-from .reticulation import reticulate
+from .reticulation import _image_rows, reticulate
 
 COANN_SCAN_LIMIT = 16
 STRONG_SCAN_LIMIT = 20
@@ -87,6 +95,7 @@ class CoAnnihilatorAlgebra:
     filters: tuple
     lattice: object
     complement: dict   # index -> index
+    least: np.ndarray  # index -> least member g of the filter ↑g
 
     def __len__(self):
         return len(self.filters)
@@ -124,20 +133,35 @@ def co_ann_algebra(host):
     if (pos[dual] < 0).any():
         raise InvalidSystem("co-annihilator family is not closed under duals")
     comp = {i: int(j) for i, j in enumerate(pos[dual])}
-    meet = pos[host.join[np.ix_(least, least)]]
-    join = pos[gen[host.join[np.ix_(dual, dual)]]]
+    meet = pos[host.join[least[:, None], least]]
+    join = pos[gen[host.join[dual[:, None], dual]]]
     bot = int(pos[gen[host.bot]])
     top = int(pos[host.bot])
     lattice = validate_bdl(join, meet, bot=bot, top=top,
                            names=[f"C{i}" for i in range(k)])
-    for i in range(k):
-        j = comp[i]
-        if int(join[i, j]) != top or int(meet[i, j]) != bot:
-            raise LatticeLawViolation("co-annihilator complement law fails", (i, j))
+    ar, cj = np.arange(k), pos[dual]
+    bad = np.flatnonzero((join[ar, cj] != top) | (meet[ar, cj] != bot))
+    if bad.size:
+        i = int(bad[0])
+        raise LatticeLawViolation("co-annihilator complement law fails", (i, comp[i]))
     if len(boolean_center(lattice).elements) != k:
         raise LatticeLawViolation("co-annihilator algebra is not Boolean", ())
     filters = tuple(core.filters[core.index[g]] for g in least)
-    return CoAnnihilatorAlgebra(host, filters, lattice, comp)
+    return CoAnnihilatorAlgebra(host, filters, lattice, comp, _freeze(least))
+
+
+def _coann_rows(host, rows):
+    """Row i is the co-annihilator of the subset marked by row i of the
+    boolean ``rows``: a is in it iff the subset lies within {b : a v b = top}."""
+    return _within(rows, (host.join == host.top).T)
+
+
+@per_host
+def _coann_family_rows(host):
+    """The member rows of every co-annihilator F (``co_ann_algebra`` order)
+    and the rows of their co-annihilators F^T, each family at once."""
+    members = host.leq[co_ann_algebra(host).least]
+    return _freeze(members), _freeze(_coann_rows(host, members))
 
 
 def _coann_masks(host):
@@ -162,6 +186,16 @@ def co_ann_subset_scan(host, limit=COANN_SCAN_LIMIT):
 def _central_principal_sets(host):
     center = boolean_center(host)
     return {principal_filter(host, e).members: e for e in center.elements}
+
+
+def _not_centrally_principal(host):
+    """Indices of the co-annihilators ↑g that are not the principal filter
+    ↑e' of a complemented element (e' the stable power of e); ↑g = ↑e' only
+    when g = e'."""
+    least = co_ann_algebra(host).least
+    allowed = np.zeros(host.n, dtype=bool)
+    allowed[idempotent_core(host).stable[list(boolean_center(host).elements)]] = True
+    return (~allowed[least]).nonzero()[0]
 
 
 @dataclass(eq=False)
@@ -197,10 +231,11 @@ class StrongStoneVerdict:
 def is_strongly_stone(host):
     """Every co-annihilator, of any subset, is a centrally generated
     principal filter.  Exact via the closure route, so no size bound."""
-    allowed = _central_principal_sets(host)
-    for f in co_ann_algebra(host).filters:
-        if f.members not in allowed:
-            return StrongStoneVerdict(False, f, co_annihilator(host, f.members).members)
+    bad = _not_centrally_principal(host)
+    if bad.size:
+        i = bad[0]
+        return StrongStoneVerdict(False, co_ann_algebra(host).filters[i],
+                                  frozenset(_coann_family_rows(host)[1][i].nonzero()[0].tolist()))
     return StrongStoneVerdict(True, None, None)
 
 
@@ -234,7 +269,7 @@ def _boolean_embeds(small, big):
         return big.bot == big.top
     center = np.array(boolean_center(big).elements, dtype=np.int64)
     center = center[center != big.bot]
-    below = big.leq[np.ix_(center, center)].sum(axis=0)
+    below = big.leq[center[:, None], center].sum(axis=0)
     catoms = center[below == 1].tolist()
     m = len(atoms)
     if len(catoms) < m:
@@ -294,6 +329,7 @@ class MStoneReport:
         return out
 
 
+@per_host
 def m_stone_conditions(host):
     """Evaluate the five clauses (plus one comparison reading) exactly.
 
@@ -311,18 +347,19 @@ def m_stone_conditions(host):
     gen[l ∨ p] = gen[l]·gen[p], and clause 5 asks g·gen[g] = bot.  The
     comparison reading counts the central atoms of the filter lattice and
     certifies the embedding built from them (``_boolean_embeds``); no search.
+    Cached on the host instance.
     """
     out = {}
     notes = ("finite Boolean centers are always complete, so clause two "
              "adds nothing beyond the Stone check on a finite host",)
-    allowed = _central_principal_sets(host)
     ca = co_ann_algebra(host)
     fl = all_filters(host)
     core = idempotent_core(host)
     gen = _coann_generators(host)
     t = host.semigroup
 
-    wit = next((f for f in ca.filters if f.members not in allowed), None)
+    bad = _not_centrally_principal(host)
+    wit = ca.filters[bad[0]] if bad.size else None
     out["all_coann_centrally_principal"] = (wit is None, wit)
 
     sv = is_stone(host)
@@ -338,8 +375,8 @@ def m_stone_conditions(host):
     if not (in_dc[host.top] and in_dc[host.bot]):   # {top} and the carrier
         ok3, wit3 = False, "bounds missing"
     if ok3:
-        meets = host.join[np.ix_(dc, dc)]
-        joins = t[np.ix_(dc, dc)]
+        meets = host.join[dc[:, None], dc]
+        joins = t[dc[:, None], dc]
         bad = ~(in_dc[meets] & in_dc[joins])
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -352,7 +389,7 @@ def m_stone_conditions(host):
 
     # comparison reading: the abstract lattice on the same family embeds
     k = len(dc)
-    le = host.leq[np.ix_(dc, dc)].T   # ↑f ⊆ ↑g iff g ≤ f
+    le = host.leq[dc[:, None], dc].T   # ↑f ⊆ ↑g iff g ≤ f
     try:
         small = validate_bdl(*_lattice_tables(le), bot=0,
                              top=dc.tolist().index(host.bot),
@@ -368,15 +405,14 @@ def m_stone_conditions(host):
     if bad.any():
         l, p = np.argwhere(bad)[0]
         ok4, wit4 = False, (host.names[l], host.names[p])
-    else:
-        singles = {core.filters[core.index[g]].members for g in gen}
-        for f in ca.filters:
-            if co_annihilator(host, f.members).members not in singles:
-                ok4, wit4 = False, f
-                break
+    else:   # every F^T is some ↑gen[a], the co-annihilator of {a}
+        coann = _coann_family_rows(host)[1]
+        bad = np.flatnonzero(_row_index(coann, host.leq[core.stable[gen]]) < 0)
+        if bad.size:
+            ok4, wit4 = False, ca.filters[bad[0]]
     out["coann_of_join_splits"] = (ok4, wit4)
 
-    least = core.idempotents[[fl.index_of(f) for f in ca.filters]]
+    least = ca.least
     bad = np.flatnonzero(t[least, gen[least]] != host.bot)
     ok5 = not bad.size
     out["coann_join_complement_covers"] = (ok5, None if ok5 else ca.filters[bad[0]])
@@ -410,8 +446,20 @@ class TransferReport:
         return out
 
 
-def _image_set(lam, members):
-    return frozenset(int(lam[a]) for a in members)
+def _complements(center, n):
+    """The complement map of a Boolean center as an array, -1 off it."""
+    out = np.full(n, -1, dtype=np.int64)
+    out[list(center.complement)] = list(center.complement.values())
+    return out
+
+
+def _meets_transport(lam, members, images, size):
+    """Whether λ[F ∩ G] = λ[F] ∩ λ[G] for every pair of member rows, where
+    ``images`` holds the rows λ[F]; in slabs of about SLAB_CELLS cells."""
+    k, n = members.shape
+    return _holds(k, k * (n + 2 * size), lambda lo, hi: np.array_equal(
+        _image_rows(lam, (members[lo:hi, None] & members).reshape(-1, n), size),
+        (images[lo:hi, None] & images).reshape(-1, size)))
 
 
 def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
@@ -425,7 +473,7 @@ def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
     image.  The last clause scans all subsets when the carrier has at most
     ``scan_limit`` elements and otherwise uses the exact structured route
     (singletons plus intersection transport), which the closure equations
-    make equivalent.
+    make equivalent.  Sets are compared as rows of membership matrices.
     """
     r = retic if retic is not None else reticulate(host)
     lat, lam = r.lattice, r.lam
@@ -439,28 +487,24 @@ def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
 
     bh = boolean_center(host)
     bl = boolean_center(lat)
-    image = {int(lam[e]) for e in bh.elements}
-    ok = (image == set(bl.elements)
-          and len(image) == len(bh.elements)
-          and all(int(lam[bh.complement[e]]) == bl.complement[int(lam[e])]
-                  for e in bh.elements)
-          and all(int(lam[host.join[e, f]]) == int(lat.join[lam[e], lam[f]])
-                  and int(lam[host.meet[e, f]]) == int(lat.meet[lam[e], lam[f]])
-                  for e in bh.elements for f in bh.elements))
+    eh = np.array(bh.elements, dtype=np.int64)
+    image = lam[eh]
+    ok = bool(np.array_equal(np.sort(image), bl.elements)   # a bijection of centers
+              and (lam[_complements(bh, host.n)[eh]] == _complements(bl, lat.n)[image]).all()
+              and (lam[host.join[eh[:, None], eh]] == lat.join[image[:, None], image]).all()
+              and (lam[host.meet[eh[:, None], eh]] == lat.meet[image[:, None], image]).all())
     out["center_maps_isomorphically"] = (ok, None if ok else
                                          (sorted(bh.elements), sorted(bl.elements)))
 
-    ca, cl = co_ann_algebra(host), co_ann_algebra(lat)
-    images = [_image_set(lam, f.members) for f in ca.filters]
-    meets_transport = all(_image_set(lam, f.members & g.members) == fi & gi
-                          for f, fi in zip(ca.filters, images)
-                          for g, gi in zip(ca.filters, images))
-    ok = (set(images) == {f.members for f in cl.filters}
-          and len(set(images)) == len(ca.filters)
-          and meets_transport
-          and all(_image_set(lam, co_annihilator(host, f.members).members) ==
-                  co_annihilator(lat, fi).members
-                  for f, fi in zip(ca.filters, images)))
+    cl = co_ann_algebra(lat)
+    members, coann = _coann_family_rows(host)
+    images = _image_rows(lam, members, lat.n)
+    meets_transport = _meets_transport(lam, members, images, lat.n)
+    # F -> λ[F] is a bijection onto the co-annihilators of L(A)
+    onto = np.sort(_row_index(images, lat.leq[cl.least]))
+    ok = bool(np.array_equal(onto, np.arange(len(cl.filters)))
+              and meets_transport
+              and np.array_equal(_image_rows(lam, coann, lat.n), _coann_rows(lat, images)))
     out["coann_algebra_maps_isomorphically"] = (ok, None)
 
     if host.n <= scan_limit:
@@ -475,14 +519,13 @@ def transfer_checks(host, retic=None, scan_limit=TRANSFER_SCAN_LIMIT):
         detail = None if ok else tuple(host.names[a] for a in pick)
     else:
         route = "structured (singletons + intersection transport)"
+        # λ[{a}^T] against {λ(a)}^T, for every element a at once
+        left = _image_rows(lam, (host.join == host.top).T, lat.n)
+        bad = np.flatnonzero((left != (lat.join == lat.top).T[lam]).any(axis=1))
         ok, detail = True, None
-        for a in range(host.n):
-            left = _image_set(lam, co_annihilator(host, [a]).members)
-            right = co_annihilator(lat, [int(lam[a])]).members
-            if left != right:
-                ok, detail = False, host.names[a]
-                break
-        if ok and not meets_transport:
+        if bad.size:
+            ok, detail = False, host.names[bad[0]]
+        elif not meets_transport:
             ok, detail = False, "intersection transport"
     out["coann_image_commutes"] = (ok, detail)
     return TransferReport(out, route)

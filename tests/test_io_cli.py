@@ -22,8 +22,9 @@ from retic import (
     quotient_rl,
     reticulate,
 )
-from retic.cli import main
-from retic.errors import InvalidSystem, ParseError, ValidationError
+from retic import cli
+from retic.cli import build_parser, main
+from retic.errors import InvalidArgument, InvalidSystem, ParseError, ValidationError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXDIR = os.path.join(HERE, os.pardir, "fixtures")
@@ -287,3 +288,60 @@ def test_cli_export_dot(capsys):
     assert main(["export-dot", "--reticulation",
                  fixture_path("iorgulescu5.rl")]) == 0
     assert capsys.readouterr().out.startswith("digraph G {")
+
+
+def test_cli_reuses_one_parser(capsys):
+    """Successive commands through the cached parser print what a fresh
+    parser gives, and ``build_parser`` still returns a new parser."""
+    argvs = [["validate", fixture_path("chain2.rl")],
+             ["filters", fixture_path("kowalski6.rl")],
+             ["power", "--atoms", "2", fixture_path("chain3.rl")],
+             ["stone", fixture_path("iorgulescu12.rl")],
+             ["reticulate", fixture_path("kowalski6.rl")],
+             ["export-dot", fixture_path("iorgulescu5.rl")],
+             ["validate", fixture_path("kowalski6.rl")]]
+    cached = []
+    for argv in argvs:
+        code = main(argv)
+        cached.append((code, capsys.readouterr().out))
+    for argv, got in zip(argvs, cached):
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        assert got == (code, capsys.readouterr().out), argv
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", FIXDIR], "error: [Errno 21] Is a directory"),
+    (["quotient", "--filter", "zz", fixture_path("chain2.rl")],
+     "error: no element named 'zz'"),
+    (["quotient", "--filter", "a,zz", fixture_path("kowalski6.rl")],
+     "error: no element named 'zz'"),
+    (["power", "--atoms", "-1", fixture_path("chain2.rl")],
+     "error: the number of atoms must be at least 0, got -1"),
+])
+def test_cli_reports_unusable_input_as_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "binary.rl"
+    path.write_bytes(b"version 1\n\xa8\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8 text: invalid start byte at byte 10"):
+        io.load(path)
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        io.load_system(path)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: not UTF-8 text")
+
+
+def test_negative_atom_count_is_a_typed_error():
+    with pytest.raises(InvalidArgument, match="at least 0, got -1"):
+        powerset_lattice(-1)
+    assert issubclass(InvalidArgument, ValueError)
+    assert powerset_lattice(0).n == 1

@@ -23,7 +23,6 @@ from retic.reticulation import reticulate
 from retic.stone import (
     StrongStoneVerdict,
     _central_principal_sets,
-    _image_set,
     co_ann_subset_scan,
     co_annihilator,
     strongly_stone_subset_scan,
@@ -34,6 +33,10 @@ SCAN_N = 12
 
 
 # -- the per-subset reference loops ------------------------------------------
+
+
+def _image_set(lam, members):
+    return frozenset(int(lam[a]) for a in members)
 
 
 def _ref_filters_subset_scan(host):
